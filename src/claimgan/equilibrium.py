@@ -131,6 +131,8 @@ def jsd(p, q) -> float:
 
 def simplex_grid(k: int, step: float) -> np.ndarray:
     """All mass vectors on the k-simplex with coordinates multiples of step."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"grid step must be positive and finite, got {step}")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError("grid step must divide 1")

@@ -50,7 +50,7 @@ def _probs(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size == 0:
         raise ValueError(f"empty batch for {name}")
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
+    if ((v <= 0.0) | (v >= 1.0)).any():
         raise ValueError(f"{name} entries must lie strictly inside (0, 1)")
     return v
 

@@ -31,6 +31,11 @@ def toy_config(**overrides):
     return cfg
 
 
+def assert_one_error_line(err: str, needle: str):
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert needle in err
+
+
 def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -137,6 +142,18 @@ class TestTrainEval:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-config.json")
+        assert main(["train", "--config", missing, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "no-such-config.json")
+
+    def test_missing_dataset_path_exit_2(self, tmp_path, capsys):
+        cfg = toy_config()
+        cfg["data"] = {"kind": "dataset", "path": str(tmp_path / "no-such-data.csv")}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "no-such-data.csv")
+
 
 class TestRepeat:
     def test_writes_per_run_files_and_summary(self, tmp_path, capsys):
@@ -177,6 +194,11 @@ class TestVerifyEquilibrium:
 
     def test_invalid_masses_exit_2(self, capsys):
         assert main(["verify-equilibrium", "--pp", "0.6", "0.6"]) == 2
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_bad_grid_step_exit_2(self, step, capsys):
+        assert main(["verify-equilibrium", f"--grid-step={step}"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "grid step")
 
 
 class TestGradCheckCommand:

@@ -183,6 +183,12 @@ class TestSimplexGrid:
         with pytest.raises(ValueError):
             simplex_grid(2, 0.3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_step(self, step):
+        # -0.5 and -1.0 pass the "divides 1" test and used to give an empty grid
+        with pytest.raises(ValueError, match="positive and finite"):
+            simplex_grid(2, step)
+
 
 class TestVerifyEquilibrium:
     def test_disjoint_onehot_case(self):

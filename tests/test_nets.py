@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,111 @@ class TestOptimizer:
             assert np.all(np.isfinite(l.weight)) and np.all(np.isfinite(l.bias))
 
 
+def reference_step(params, grads, moments, step, algorithm, lr, sign):
+    """Per-array Adam/SGD as written before flat storage; updates in place."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for arr, g, (m, v) in zip(params, grads, moments):
+        if algorithm == "sgd":
+            arr += sign * lr * g
+            continue
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**step)
+        v_hat = v / (1 - b2**step)
+        arr += sign * lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatStorage:
+    @staticmethod
+    def assert_views_of_flat(net):
+        offset = 0
+        for l in net.layers:
+            for arr in (l.weight, l.bias):
+                assert np.shares_memory(arr, net.flat)
+                assert np.array_equal(arr.ravel(), net.flat[offset : offset + arr.size])
+                offset += arr.size
+        assert offset == net.flat.size and net.flat.dtype == np.float64
+
+    def test_layers_are_views_after_every_construction(self, tmp_path):
+        net = net_init([3, 5, 2], ["relu", "sigmoid"], 0)
+        self.assert_views_of_flat(net)
+        self.assert_views_of_flat(net.copy())
+        checkpoint_save({"n": net}, tmp_path / "c.json")
+        self.assert_views_of_flat(checkpoint_load(tmp_path / "c.json")["n"])
+        direct = single_layer([[1, 2], [3, 4]], [5, 6], "identity")
+        self.assert_views_of_flat(direct)
+        assert np.array_equal(direct.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+    def test_writes_through_flat_reach_the_layers(self):
+        net = net_init([2, 3, 1], ["tanh", "sigmoid"], 1)
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.layers[0].weight[1, 0] == 2.0
+        assert net.layers[1].bias[0] == net.flat.size - 1
+
+    def test_direct_construction_copies_and_leaves_given_layers_alone(self):
+        w, b = np.ones((1, 2)), np.zeros(1)
+        given = Layer(w, b, "identity")
+        net = NeuralNet([given])
+        net.flat += 1.0
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+        assert given.weight is w and given.bias is b
+        # building a second net from the first one's layers must not detach them
+        other = NeuralNet(net.layers)
+        self.assert_views_of_flat(net)
+        self.assert_views_of_flat(other)
+        assert not np.shares_memory(net.flat, other.flat)
+
+    def test_copy_does_not_alias_source(self):
+        net = net_init([2, 4, 1], ["relu", "sigmoid"], 2)
+        c = net.copy()
+        assert not np.shares_memory(c.flat, net.flat)
+        assert np.array_equal(c.flat, net.flat)
+        c.flat += 1.0
+        c.layers[0].weight[0, 0] = 99.0
+        assert not np.array_equal(c.flat, net.flat)
+        assert np.array_equal(net.flat, net_init([2, 4, 1], ["relu", "sigmoid"], 2).flat)
+
+    @pytest.mark.parametrize(
+        "algorithm,direction",
+        [("adam", "descend"), ("adam", "ascend"), ("sgd", "descend"), ("sgd", "ascend")],
+    )
+    def test_flat_update_bit_identical_to_per_array_reference(self, algorithm, direction):
+        net = net_init([3, 6, 6, 1], ["relu", "tanh", "sigmoid"], 4)
+        params = [a.copy() for l in net.layers for a in (l.weight, l.bias)]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in params]
+        state = make_optimizer(net, algorithm, 0.01)
+        sign = 1.0 if direction == "ascend" else -1.0
+        rng = np.random.default_rng(5)
+        for step in range(1, 51):
+            grads = [
+                (rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
+                for l in net.layers
+            ]
+            optimizer_step(net, grads, state, direction)
+            flat_grads = [a for pair in grads for a in pair]
+            reference_step(params, flat_grads, moments, step, algorithm, 0.01, sign)
+            got = [a for l in net.layers for a in (l.weight, l.bias)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, params)), step
+        assert state.step == 50
+
+    def test_nonfinite_grad_leaves_params_and_moments_untouched(self):
+        net = net_init([2, 4, 1], ["relu", "sigmoid"], 6)
+        state = make_optimizer(net, "adam", 0.1)
+        good = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in net.layers]
+        optimizer_step(net, good, state, "descend")
+        flat, m, v = net.flat.copy(), state.m.copy(), state.v.copy()
+        for bad_value in (np.nan, np.inf, -np.inf):
+            bad = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in net.layers]
+            bad[-1][1][0] = bad_value  # only the last array of the last layer
+            with pytest.raises(ValueError, match="non-finite"):
+                optimizer_step(net, bad, state, "descend")
+            assert np.array_equal(net.flat, flat)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert state.step == 1
+
+
 class TestCheckpoint:
     def test_round_trip_identity(self, tmp_path):
         nets = {
@@ -264,6 +371,21 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"version": 99, "nets": {}}')
         with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"dims": [2], "activations": [], "weights": [], "biases": []},
+            {"dims": [2, 2], "activations": ["identity"],
+             "weights": [[[1.0, 2.0], [3.0]]], "biases": [[0.0, 0.0]]},
+        ],
+        ids=["no-layers", "ragged-weights"],
+    )
+    def test_malformed_net_rejected(self, tmp_path, rec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "nets": {"Gy": rec}}))
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
             checkpoint_load(path)
 
     def test_six_net_names_preserved(self, tmp_path):
