@@ -16,6 +16,7 @@ import numpy as np
 from . import data as datamod
 from . import equilibrium, gradcheck, metrics, trigan, variants
 from .config import ConfigError, RunConfig, load_config
+from .fileio import atomic_open
 from .nets import checkpoint_load, checkpoint_save
 
 CHECKPOINT_NAMES = {"g_p": "Gp", "g_n": "Gn", "g_y": "Gy", "d_p": "Dp", "d_n": "Dn", "d_y": "Dy"}
@@ -46,6 +47,12 @@ def _run_one(cfg: RunConfig, seed: int, run_id: int):
     """Train one model; returns (nets dict, telemetry, final test metrics)."""
     dataset = _build_dataset(cfg)
     train_ds, val_ds, test_ds = datamod.split(dataset, cfg.split, cfg.split_seed)
+    for name, part in (("validation", val_ds), ("test", test_ds)):
+        if not len(part):
+            raise ValueError(
+                f"split: the {name} split is empty ({len(dataset)} samples, "
+                f"fractions {list(cfg.split)}); use more data or a larger fraction"
+            )
     priors = cfg.priors or datamod.class_priors(train_ds)
     tcfg = cfg.train_config(seed=seed)
     if cfg.variant == "baseline":
@@ -66,10 +73,7 @@ def _run_one(cfg: RunConfig, seed: int, run_id: int):
             )
         nets = {CHECKPOINT_NAMES[k]: v for k, v in model.nets().items()}
         _, preds = trigan.classify_batch(model, test_ds.features)
-    if len(test_ds):
-        p, r, f1, _ = metrics.precision_recall_f1(preds, test_ds.labels)
-    else:
-        p = r = f1 = float("nan")
+    p, r, f1, _ = metrics.precision_recall_f1(preds, test_ds.labels)
     return nets, telemetry, {"precision": p, "recall": r, "f1": f1}
 
 
@@ -129,7 +133,7 @@ def cmd_repeat(args) -> int:
         )
     agg = metrics.aggregate(per_run)
     summary_path = os.path.join(args.out, "summary.csv")
-    with open(summary_path, "w") as f:
+    with atomic_open(summary_path) as f:
         f.write("metric,mean,std,runs\n")
         for k in ("precision", "recall", "f1"):
             f.write(f"{k},{agg.mean[k]!r},{agg.std[k]!r},{agg.n_runs}\n")

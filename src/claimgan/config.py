@@ -6,37 +6,83 @@ Unknown keys are rejected so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from .trigan import G_Y_LOSS_MODES, TrainConfig
+from .trigan import G_Y_LOSS_MODES, NET_NAMES, TrainConfig
 from .variants import VariantKind
 
 VARIANTS = ("proposed", "inverted", "symmetric", "symmetric-intended", "baseline")
 
+# JSON type of each scalar field
+_DATA_TYPES = {
+    "n_per_class": "integer",
+    "dim": "integer",
+    "cov_scale": "number",
+    "data_seed": "integer",
+    "path": "string",
+    "embed_dim": "integer",
+    "embed_seed": "integer",
+}
 _TOY_KEYS = {"kind", "n_per_class", "dim", "means", "cov_scale", "data_seed"}
 _CORPUS_KEYS = {"kind", "path", "embed_dim", "embed_seed"}
 _DATASET_KEYS = {"kind", "path"}
 
-_TOP_KEYS = {
-    "data",
-    "variant",
-    "iterations",
-    "batch_size",
-    "seed",
-    "noise_dim",
-    "hidden",
-    "optimizer",
-    "learning_rate",
-    "learning_rates",
-    "g_y_loss_mode",
-    "eval_every",
-    "similarity_sample_cap",
-    "pairing",
-    "repeats",
-    "split",
-    "split_seed",
-    "priors",
+_TOP_TYPES = {
+    "variant": "string",
+    "iterations": "integer",
+    "batch_size": "integer",
+    "seed": "integer",
+    "noise_dim": "integer",
+    "hidden": "integer",
+    "optimizer": "string",
+    "learning_rate": "number",
+    "g_y_loss_mode": "string",
+    "eval_every": "integer",
+    "similarity_sample_cap": "integer",
+    "pairing": "string",
+    "repeats": "integer",
+    "split_seed": "integer",
 }
+_TOP_KEYS = {"data", "learning_rates", "split", "priors", *_TOP_TYPES}
+
+
+def _is_integer(v) -> bool:
+    # int64 range: every integer field ends up in numpy
+    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+
+
+def _is_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _is_numbers(v, n: int | None = None) -> bool:
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_is_number, v))
+
+
+# type name -> (test, what the error message asks for)
+_TYPE_TESTS = {
+    "integer": (_is_integer, "an integer"),
+    "number": (_is_number, "a finite number"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _shown(v) -> str:
+    return json.dumps(v)[:40]
+
+
+def _type_problems(obj: dict, types: dict, prefix: str = "") -> list[str]:
+    return [
+        f"{prefix}{k}: must be {_TYPE_TESTS[types[k]][1]}, got {_shown(v)}"
+        for k, v in obj.items()
+        if k in types and not _TYPE_TESTS[types[k]][0](v)
+    ]
 
 
 class ConfigError(ValueError):
@@ -103,22 +149,29 @@ def _parse_data(obj) -> DataSpec:
         "toy-mixture": _TOY_KEYS,
         "corpus": _CORPUS_KEYS,
         "dataset": _DATASET_KEYS,
-    }.get(kind)
+    }.get(kind) if isinstance(kind, str) else None
     if allowed is None:
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"data: unknown keys {sorted(unknown)} for kind {kind!r}")
+    problems = _type_problems(obj, _DATA_TYPES, "data.")
+    means = obj.get("means", [])
+    if not (isinstance(means, list) and all(_is_numbers(r) for r in means)):
+        problems.append(f"data.means: must be an array of arrays of numbers, got {_shown(means)}")
+    if problems:
+        raise ConfigError("; ".join(problems))
     spec = DataSpec(kind=kind)
     for k, v in obj.items():
         if k != "kind":
             setattr(spec, k, v)
-    problems = []
     if kind == "toy-mixture":
         if spec.n_per_class < 0:
             problems.append("data.n_per_class: must be nonnegative")
         if spec.dim < 1:
             problems.append("data.dim: must be positive")
+        elif len(spec.means) != 2 or any(len(row) != spec.dim for row in spec.means):
+            problems.append("data.means: must be two rows of data.dim numbers")
         if spec.cov_scale <= 0:
             problems.append("data.cov_scale: must be positive")
     else:
@@ -131,7 +184,14 @@ def _parse_data(obj) -> DataSpec:
     return spec
 
 
+def _fractions_problem(v) -> bool:
+    # v has passed _is_numbers; range first, so the sum cannot overflow
+    return any(not 0 <= f <= 1 for f in v) or abs(sum(v) - 1) > 1e-9
+
+
 def parse_config(doc: dict) -> RunConfig:
+    """Check every field's type, then its value; raise ConfigError naming
+    each offending field."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -139,16 +199,26 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "data" not in doc:
         raise ConfigError("data: required")
-    cfg = RunConfig(data=_parse_data(doc["data"]))
+    data = _parse_data(doc["data"])
+    problems = _type_problems(doc, _TOP_TYPES)
+    if "split" in doc and not _is_numbers(doc["split"], 3):
+        problems.append(f"split: must be an array of three numbers, got {_shown(doc['split'])}")
+    if doc.get("priors") is not None and not _is_numbers(doc["priors"], 2):
+        problems.append(
+            f"priors: must be null or an array of two numbers, got {_shown(doc['priors'])}"
+        )
+    rates = doc.get("learning_rates", {})
+    if not (isinstance(rates, dict) and all(map(_is_number, rates.values()))):
+        problems.append("learning_rates: must be an object of numbers")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    cfg = RunConfig(data=data)
     for k, v in doc.items():
         if k == "data":
             continue
-        if k == "split":
-            v = tuple(v)
-        if k == "priors" and v is not None:
+        if k in ("split", "priors") and v is not None:
             v = tuple(v)
         setattr(cfg, k, v)
-    problems = []
     if cfg.variant not in VARIANTS:
         problems.append(f"variant: must be one of {VARIANTS}")
     if cfg.iterations < 0:
@@ -163,6 +233,11 @@ def parse_config(doc: dict) -> RunConfig:
         problems.append("optimizer: must be sgd or adam")
     if cfg.learning_rate <= 0:
         problems.append("learning_rate: must be positive")
+    unknown_nets = sorted(set(cfg.learning_rates) - set(NET_NAMES))
+    if unknown_nets:
+        problems.append(f"learning_rates: unknown nets {unknown_nets}")
+    if any(r <= 0 for r in cfg.learning_rates.values()):
+        problems.append("learning_rates: must be positive")
     if cfg.g_y_loss_mode not in G_Y_LOSS_MODES:
         problems.append(f"g_y_loss_mode: must be one of {G_Y_LOSS_MODES}")
     if cfg.eval_every < 0:
@@ -171,11 +246,10 @@ def parse_config(doc: dict) -> RunConfig:
         problems.append("pairing: must be nearest or random")
     if cfg.repeats < 1:
         problems.append("repeats: must be at least 1")
-    if len(cfg.split) != 3 or any(f < 0 for f in cfg.split) or abs(sum(cfg.split) - 1) > 1e-9:
+    if _fractions_problem(cfg.split):
         problems.append("split: three nonnegative fractions summing to 1")
-    if cfg.priors is not None:
-        if len(cfg.priors) != 2 or any(p < 0 for p in cfg.priors) or abs(sum(cfg.priors) - 1) > 1e-9:
-            problems.append("priors: two nonnegative values summing to 1")
+    if cfg.priors is not None and _fractions_problem(cfg.priors):
+        problems.append("priors: two nonnegative values summing to 1")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg

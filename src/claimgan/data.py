@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
+
 LABEL_REFUTED = 0
 LABEL_SUPPORTED = 1
 
@@ -224,7 +226,7 @@ def split(
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
     """Decimal-text export: header then rows `label,f_0..f_{d-1}`."""
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         cols = ",".join(f"f_{j}" for j in range(dataset.dim))
         f.write(f"label,{cols}\n")
         for label, row in zip(dataset.labels, dataset.features):

@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+from .fileio import atomic_open
 
 CSV_COLUMNS = (
     "run",
@@ -27,6 +28,22 @@ CSV_COLUMNS = (
     "man",
     "euc",
 )
+
+
+class cKDTree:  # noqa: N801 - keeps scipy's name, which callers and tracers bind
+    """scipy's cKDTree, imported on first construction.
+
+    Only nearest-neighbour pairing needs scipy, so a process that never
+    pairs that way (training with eval off, grad-check, the equilibrium
+    oracle) never loads it."""
+
+    def __init__(self, data):
+        from scipy.spatial import cKDTree as tree
+
+        self._tree = tree(data)
+
+    def query(self, x, k=1):
+        return self._tree.query(x, k=k)
 
 
 @dataclass
@@ -175,14 +192,14 @@ def _to_cell(value) -> str:
 def emit(records: list[MetricsRecord], path, format: str = "csv") -> None:
     """Write records to path; floats carry full precision."""
     if format == "csv":
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(CSV_COLUMNS)
             for rec in records:
                 d = asdict(rec)
                 writer.writerow([_to_cell(d[c]) for c in CSV_COLUMNS])
     elif format == "line-json":
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             for rec in records:
                 f.write(json.dumps(asdict(rec)) + "\n")
     else:

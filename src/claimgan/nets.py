@@ -7,13 +7,20 @@ float64 numpy and deterministic given a seed.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import atomic_open
+
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
+
+# glibc's mallopt parameter number (malloc.h) and the value training sets.
+M_TRIM_THRESHOLD = -1
+HEAP_TRIM_THRESHOLD = 2 << 20
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
@@ -87,6 +94,32 @@ def net_init(layer_dims: list[int], activations: list[str], seed: int) -> Neural
     return NeuralNet(layers)
 
 
+@functools.cache
+def keep_heap_for_steps() -> None:
+    """Stop glibc malloc from returning the top of the heap to the OS after
+    every training step; called once per process by the training loops.
+
+    Each step frees its temporaries at the top of the heap. Below the trim
+    threshold glibc keeps that memory; above it, glibc gives it back and
+    the next step page-faults it in again: about 360 minor faults per toy
+    step (2-D, hidden 64, batch 64) at glibc's default 128 KiB and still
+    at 512 KiB. At 1 MiB the toy steps and most 64-D eq4 steps run without
+    faults, but the first eq4 step after each eval still takes about 40.
+    2 MiB is the smallest power of two with no faults in any step of
+    either; larger values only keep more memory.
+
+    Without glibc's mallopt (macOS, Windows) nothing is done.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
 def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
     if act == "relu":
         return np.maximum(z, 0.0)
@@ -140,12 +173,20 @@ def _activation_grad(act: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    net: NeuralNet, cache: list, output_grad: np.ndarray
-) -> tuple[ParamGrads, np.ndarray]:
+    net: NeuralNet,
+    cache: list,
+    output_grad: np.ndarray,
+    *,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[ParamGrads | None, np.ndarray | None]:
     """Reverse-mode gradients given dLoss/dOutput.
 
     Returns (per-layer (dW, db), dLoss/dInput). The input gradient is what
-    lets a discriminator's judgment backpropagate into a generator.
+    lets a discriminator's judgment backpropagate into a generator. A caller
+    that needs only one of the two turns the other off and gets None in its
+    place: param_grads=False skips every dW and db, input_grad=False skips
+    the last layer's product with its weight.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if output_grad.shape != cache[-1][2].shape:
@@ -158,9 +199,11 @@ def backward(
         h_in, z, out = cache[k]
         layer = net.layers[k]
         dz = delta * _activation_grad(layer.activation, z, out)
-        grads[k] = (dz.T @ h_in, dz.sum(axis=0))
-        delta = dz @ layer.weight
-    return grads, delta
+        if param_grads:
+            grads[k] = (dz.T @ h_in, dz.sum(axis=0))
+        if k or input_grad:
+            delta = dz @ layer.weight
+    return (grads if param_grads else None), (delta if input_grad else None)
 
 
 def zero_grads(net: NeuralNet) -> ParamGrads:
@@ -212,7 +255,7 @@ def grad_check(net: NeuralNet, loss_fn, batch: np.ndarray, eps: float = 1e-5) ->
         raise ValueError("eps must be positive")
     out, cache = forward(net, batch)
     _, out_grad = loss_fn(out)
-    analytic, _ = backward(net, cache, out_grad)
+    analytic, _ = backward(net, cache, out_grad, input_grad=False)
 
     def value():
         o, _ = forward(net, batch)
@@ -293,7 +336,7 @@ def checkpoint_save(nets: dict[str, NeuralNet], path) -> None:
             "weights": [l.weight.tolist() for l in net.layers],
             "biases": [l.bias.tolist() for l in net.layers],
         }
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         json.dump(doc, f)
 
 

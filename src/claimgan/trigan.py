@@ -34,6 +34,7 @@ from .nets import (
     add_grads,
     backward,
     forward,
+    keep_heap_for_steps,
     make_optimizer,
     net_init,
     optimizer_step,
@@ -249,8 +250,8 @@ def d_p_step_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     d_fake, cache_f = forward(model.d_p, fake)
     value = gan_objective(d_real, d_fake)
     m = d_real.shape[0]
-    g_real, _ = backward(model.d_p, cache_r, 1.0 / (m * d_real))
-    g_fake, _ = backward(model.d_p, cache_f, -1.0 / (m * (1.0 - d_fake)))
+    g_real, _ = backward(model.d_p, cache_r, 1.0 / (m * d_real), input_grad=False)
+    g_fake, _ = backward(model.d_p, cache_f, -1.0 / (m * (1.0 - d_fake)), input_grad=False)
     return scale_grads(add_grads(g_real, g_fake), model.pi_p), value
 
 
@@ -260,8 +261,8 @@ def d_n_step_grads(model: TriGanModel, x_n, z) -> tuple[ParamGrads, float]:
     d_fake, cache_f = forward(model.d_n, fake)
     value = gan_objective(d_real, d_fake)
     m = d_real.shape[0]
-    g_real, _ = backward(model.d_n, cache_r, 1.0 / (m * d_real))
-    g_fake, _ = backward(model.d_n, cache_f, -1.0 / (m * (1.0 - d_fake)))
+    g_real, _ = backward(model.d_n, cache_r, 1.0 / (m * d_real), input_grad=False)
+    g_fake, _ = backward(model.d_n, cache_f, -1.0 / (m * (1.0 - d_fake)), input_grad=False)
     return scale_grads(add_grads(g_real, g_fake), model.pi_n), value
 
 
@@ -273,9 +274,9 @@ def d_y_step_grads(model: TriGanModel, x, z) -> tuple[ParamGrads, float]:
     d_gn, cache_n = forward(model.d_y, fake_n)
     value = d_y_objective(d_real, d_gp, d_gn, model.pi_p, model.pi_n)
     m = d_real.shape[0]
-    g_real, _ = backward(model.d_y, cache_r, 1.0 / (m * d_real))
-    g_p_part, _ = backward(model.d_y, cache_p, -model.pi_p / (m * (1.0 - d_gp)))
-    g_n_part, _ = backward(model.d_y, cache_n, -model.pi_n / (m * (1.0 - d_gn)))
+    g_real, _ = backward(model.d_y, cache_r, 1.0 / (m * d_real), input_grad=False)
+    g_p_part, _ = backward(model.d_y, cache_p, -model.pi_p / (m * (1.0 - d_gp)), input_grad=False)
+    g_n_part, _ = backward(model.d_y, cache_n, -model.pi_n / (m * (1.0 - d_gn)), input_grad=False)
     return add_grads(add_grads(g_real, g_p_part), g_n_part), value
 
 
@@ -285,9 +286,9 @@ def g_p_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
     d_y_out, cache_dy = forward(model.d_y, fake)
     loss = g_p_loss(d_p_out, d_y_out, model.pi_p)
     m = fake.shape[0]
-    _, into_fake_p = backward(model.d_p, cache_dp, -model.pi_p / (m * d_p_out))
-    _, into_fake_y = backward(model.d_y, cache_dy, -model.pi_p / (m * d_y_out))
-    grads, _ = backward(model.g_p, cache_g, into_fake_p + into_fake_y)
+    _, into_fake_p = backward(model.d_p, cache_dp, -model.pi_p / (m * d_p_out), param_grads=False)
+    _, into_fake_y = backward(model.d_y, cache_dy, -model.pi_p / (m * d_y_out), param_grads=False)
+    grads, _ = backward(model.g_p, cache_g, into_fake_p + into_fake_y, input_grad=False)
     return grads, loss
 
 
@@ -297,9 +298,9 @@ def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
     d_y_out, cache_dy = forward(model.d_y, fake)
     loss = g_n_loss(d_n_out, d_y_out, model.pi_n)
     m = fake.shape[0]
-    _, into_fake_n = backward(model.d_n, cache_dn, -model.pi_n / (m * d_n_out))
-    _, into_fake_y = backward(model.d_y, cache_dy, -model.pi_n / (m * d_y_out))
-    grads, _ = backward(model.g_n, cache_g, into_fake_n + into_fake_y)
+    _, into_fake_n = backward(model.d_n, cache_dn, -model.pi_n / (m * d_n_out), param_grads=False)
+    _, into_fake_y = backward(model.d_y, cache_dy, -model.pi_n / (m * d_y_out), param_grads=False)
+    grads, _ = backward(model.g_n, cache_g, into_fake_n + into_fake_y, input_grad=False)
     return grads, loss
 
 
@@ -312,8 +313,8 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
         u_n, cache_un = forward(model.g_y, fake_n)
         loss = g_y_loss(None, None, model.pi_p, model.pi_n, mode, u_p, u_n)
         m = fake_p.shape[0]
-        g_up, _ = backward(model.g_y, cache_up, -model.pi_p / (m * u_p))
-        g_un, _ = backward(model.g_y, cache_un, model.pi_n / (m * (1.0 - u_n)))
+        g_up, _ = backward(model.g_y, cache_up, -model.pi_p / (m * u_p), input_grad=False)
+        g_un, _ = backward(model.g_y, cache_un, model.pi_n / (m * (1.0 - u_n)), input_grad=False)
         return add_grads(g_up, g_un), loss
     t_p, _ = forward(model.d_y, fake_p)
     t_n, _ = forward(model.d_y, fake_n)
@@ -325,8 +326,8 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
     u_n, cache_un = forward(model.g_y, fake_n)
     loss = g_y_loss(t_p, t_n, model.pi_p, model.pi_n, mode, u_p, u_n)
     m = fake_p.shape[0]
-    g_up, _ = backward(model.g_y, cache_up, -model.pi_p * t_p / (m * u_p))
-    g_un, _ = backward(model.g_y, cache_un, -model.pi_n * t_n / (m * u_n))
+    g_up, _ = backward(model.g_y, cache_up, -model.pi_p * t_p / (m * u_p), input_grad=False)
+    g_un, _ = backward(model.g_y, cache_un, -model.pi_n * t_n / (m * u_n), input_grad=False)
     return add_grads(g_up, g_un), loss
 
 
@@ -374,6 +375,7 @@ def train(
     model = model.copy()
     if cfg.iterations == 0:
         return model, []
+    keep_heap_for_steps()
     rng = np.random.default_rng(cfg.seed)
     opts = {
         name: make_optimizer(net, cfg.optimizer, cfg.lr_for(name))

@@ -29,6 +29,7 @@ from .nets import (
     ParamGrads,
     backward,
     forward,
+    keep_heap_for_steps,
     make_optimizer,
     net_init,
     optimizer_step,
@@ -125,8 +126,8 @@ def _disc_ascent_grads(disc, gen, real, z) -> tuple[ParamGrads, float]:
     d_fake, cache_f = forward(disc, fake)
     value = gan_objective(d_real, d_fake)
     m = d_real.shape[0]
-    g_real, _ = backward(disc, cache_r, 1.0 / (m * d_real))
-    g_fake, _ = backward(disc, cache_f, -1.0 / (m * (1.0 - d_fake)))
+    g_real, _ = backward(disc, cache_r, 1.0 / (m * d_real), input_grad=False)
+    g_fake, _ = backward(disc, cache_f, -1.0 / (m * (1.0 - d_fake)), input_grad=False)
     return [(a + b, c + d) for (a, c), (b, d) in zip(g_real, g_fake)], value
 
 
@@ -137,8 +138,8 @@ def _gen_descent_grads(disc, gen, real, z) -> tuple[ParamGrads, float]:
     d_fake, cache_f = forward(disc, fake)
     value = gan_objective(d_real, d_fake)
     m = fake.shape[0]
-    _, into_fake = backward(disc, cache_f, -1.0 / (m * (1.0 - d_fake)))
-    grads, _ = backward(gen, cache_g, into_fake)
+    _, into_fake = backward(disc, cache_f, -1.0 / (m * (1.0 - d_fake)), param_grads=False)
+    grads, _ = backward(gen, cache_g, into_fake, input_grad=False)
     return grads, value
 
 
@@ -264,6 +265,7 @@ def baseline_train(
     )
     if cfg.iterations == 0:
         return net, []
+    keep_heap_for_steps()
     opt = make_optimizer(net, cfg.optimizer, cfg.learning_rate)
     records: list[MetricsRecord] = []
     n = len(data)
@@ -275,7 +277,7 @@ def baseline_train(
         m = s.shape[0]
         bce = float(-(yb * np.log(s) + (1 - yb) * np.log(1 - s)).mean())
         grad_out = (s - yb) / (m * s * (1 - s))
-        grads, _ = backward(net, cache, grad_out)
+        grads, _ = backward(net, cache, grad_out, input_grad=False)
         optimizer_step(net, grads, opt, "descend")
         rec = MetricsRecord(run=run_id, iter=it, loss_label=bce)
         if cfg.eval_every and it % cfg.eval_every == 0 and val_data is not None:

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimgan.cli import main
-from claimgan.config import ConfigError, RunConfig, parse_config
+from claimgan.config import _DATA_TYPES, _TOP_KEYS, ConfigError, RunConfig, parse_config
 from claimgan.data import load_dataset
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
@@ -69,6 +71,67 @@ class TestConfig:
     def test_missing_data_rejected(self):
         with pytest.raises(ConfigError, match="data"):
             parse_config({"iterations": 5})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_per_class", "100"),
+            ("dim", 2.0),
+            ("cov_scale", None),
+            ("means", [[0, "a"], [1, 2]]),
+            ("means", [[0, 0, 0], [1, 1, 1]]),
+            ("data_seed", True),
+        ],
+    )
+    def test_bad_data_field_named(self, field, value):
+        bad = toy_config()
+        bad["data"][field] = value
+        with pytest.raises(ConfigError, match=f"data.{field}"):
+            parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("split", [0.8, "0.1", 0.1]),
+            ("split", [0.5, 10**400, 0.0]),
+            ("priors", [0.5, None]),
+            ("learning_rate", float("nan")),
+            ("learning_rates", {"g_p": "fast"}),
+            ("learning_rates", {"g_q": 1e-3}),
+            ("seed", 10**30),
+        ],
+    )
+    def test_bad_field_element_named(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(toy_config(**{field: value}))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_DATA_DOCS = st.builds(
+    lambda kind, fields: {"kind": kind, **fields},
+    st.sampled_from(["toy-mixture", "corpus", "dataset"]) | _JSON,
+    st.dictionaries(st.sampled_from(sorted({"means", *_DATA_TYPES})), _JSON, max_size=4),
+)
+_CONFIG_DOCS = _JSON | st.builds(
+    lambda data, fields: {"data": data, **fields},
+    _DATA_DOCS,
+    st.dictionaries(st.sampled_from(sorted(_TOP_KEYS - {"data"})), _JSON, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIG_DOCS)
+def test_any_json_document_parses_or_raises_config_error(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    cfg.train_config()  # an accepted config also passes the trainer's checks
 
 
 class TestGenData:
@@ -146,6 +209,32 @@ class TestTrainEval:
         missing = str(tmp_path / "no-such-config.json")
         assert main(["train", "--config", missing, "--out", str(tmp_path / "x")]) == 2
         assert_one_error_line(capsys.readouterr().err, "no-such-config.json")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iterations", "100"), ("split", 5), ("hidden", 2.5), ("batch_size", True)],
+    )
+    def test_wrong_json_type_exit_2(self, field, value, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, toy_config(**{field: value}))
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"{field}: must be")
+
+    def test_tiny_dataset_exit_2(self, tmp_path, capsys):
+        cfg = toy_config()
+        cfg["data"]["n_per_class"] = 3  # 6 samples: 0.1 of them floors to 0
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "split is empty")
+
+    def test_empty_test_split_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, toy_config(split=[0.8, 0.2, 0.0]))
+        assert main(["repeat", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "the test split is empty")
+
+    def test_empty_validation_split_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, toy_config(split=[0.9, 0.0, 0.1]))
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "validation split")
 
     def test_missing_dataset_path_exit_2(self, tmp_path, capsys):
         cfg = toy_config()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimgan import metrics
 from claimgan.metrics import (
     CSV_COLUMNS,
     MetricsRecord,
@@ -77,6 +78,16 @@ class TestAggregate:
 
 
 class TestSimilarityReport:
+    def test_lazy_kd_tree_matches_scipy(self):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(8)
+        real = rng.standard_normal((300, 6))
+        gen = rng.standard_normal((120, 6))
+        dist, idx = metrics.cKDTree(real).query(gen, k=1)
+        ref_dist, ref_idx = cKDTree(real).query(gen, k=1)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
     def test_identical_sets_nearest(self):
         x = np.random.default_rng(0).standard_normal((50, 4))
         cos, man, euc = similarity_report(x, x, pairing="nearest")

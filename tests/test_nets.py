@@ -128,6 +128,19 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, cache, np.zeros((2, 1)))
 
+    def test_skipped_halves_are_none_and_the_rest_is_unchanged(self):
+        net = net_init([3, 5, 4, 1], ["relu", "tanh", "sigmoid"], 4)
+        x = np.random.default_rng(5).standard_normal((6, 3))
+        out, cache = forward(net, x)
+        g = np.random.default_rng(6).standard_normal(out.shape)
+        grads, input_grad = backward(net, cache, g)
+        only_params, none_in = backward(net, cache, g, input_grad=False)
+        none_params, only_input = backward(net, cache, g, param_grads=False)
+        assert none_in is None and none_params is None
+        assert np.array_equal(only_input, input_grad)
+        for (aw, ab), (bw, bb) in zip(only_params, grads):
+            assert np.array_equal(aw, bw) and np.array_equal(ab, bb)
+
 
 class TestGradCheck:
     @staticmethod
