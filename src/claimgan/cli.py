@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as datamod
 from . import equilibrium, gradcheck, metrics, trigan, variants
-from .config import ConfigError, RunConfig, load_config
+from .config import VARIANTS, ConfigError, RunConfig, load_config
 from .fileio import atomic_open
 from .nets import checkpoint_load, checkpoint_save
 
@@ -58,30 +58,31 @@ def _run_one(cfg: RunConfig, seed: int, run_id: int):
     if cfg.variant == "baseline":
         net, telemetry = variants.baseline_train(train_ds, tcfg, val_data=val_ds, run_id=run_id)
         nets = {"Gy": net}
-        scores, _ = trigan.forward(net, test_ds.features)
-        preds = (scores[:, 0] >= 0.5).astype(np.int64)
     else:
         model = trigan.build_model(
             train_ds.dim, cfg.noise_dim, priors[0], priors[1], seed, hidden=cfg.hidden
         )
-        kind = cfg.variant_kind()
-        if kind is None:
-            model, telemetry = trigan.train(model, train_ds, tcfg, val_data=val_ds, run_id=run_id)
-        else:
-            model, telemetry = variants.train_variant(
-                model, train_ds, tcfg, kind, val_data=val_ds, run_id=run_id
-            )
+        model, telemetry = trigan.train(
+            model, train_ds, tcfg, val_data=val_ds, run_id=run_id,
+            step_fn=variants.STEP_FUNCTIONS[cfg.variant],
+        )
         nets = {CHECKPOINT_NAMES[k]: v for k, v in model.nets().items()}
-        _, preds = trigan.classify_batch(model, test_ds.features)
+    _, preds = trigan.predict(nets["Gy"], test_ds.features)
     p, r, f1, _ = metrics.precision_recall_f1(preds, test_ds.labels)
     return nets, telemetry, {"precision": p, "recall": r, "f1": f1}
 
 
+def _out_path(args, name: str) -> str:
+    """Path of `name` under --out. The directory is made on first use, so a
+    command that fails before writing anything leaves none behind."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     dataset = _build_dataset(cfg)
-    path = os.path.join(args.out, "dataset.csv")
+    path = _out_path(args, "dataset.csv")
     datamod.save_dataset(dataset, path)
     print(f"wrote {len(dataset)} samples of dim {dataset.dim} to {path}")
     return 0
@@ -89,10 +90,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
-    os.makedirs(args.out, exist_ok=True)
     nets, telemetry, final = _run_one(cfg, cfg.seed, run_id=0)
-    checkpoint_save(nets, os.path.join(args.out, "checkpoint.json"))
-    metrics.emit(telemetry, os.path.join(args.out, "telemetry.csv"))
+    checkpoint_save(nets, _out_path(args, "checkpoint.json"))
+    metrics.emit(telemetry, _out_path(args, "telemetry.csv"))
     print(
         f"test precision={final['precision']:.6f} recall={final['recall']:.6f} "
         f"f1={final['f1']:.6f}"
@@ -106,12 +106,10 @@ def cmd_eval(args) -> int:
         print("checkpoint has no Gy net", file=sys.stderr)
         return 1
     dataset = datamod.load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
-    scores, _ = trigan.forward(nets["Gy"], dataset.features)
-    preds = (scores[:, 0] >= 0.5).astype(np.int64)
+    _, preds = trigan.predict(nets["Gy"], dataset.features)
     p, r, f1, degenerate = metrics.precision_recall_f1(preds, dataset.labels)
     rec = metrics.MetricsRecord(run=0, iter=0, precision=p, recall=r, f1=f1)
-    metrics.emit([rec], os.path.join(args.out, "metrics.csv"))
+    metrics.emit([rec], _out_path(args, "metrics.csv"))
     flag = " (degenerate 0/0 case)" if degenerate else ""
     print(f"precision={p:.6f} recall={r:.6f} f1={f1:.6f}{flag}")
     return 0
@@ -119,20 +117,19 @@ def cmd_eval(args) -> int:
 
 def cmd_repeat(args) -> int:
     cfg = _config_with_overrides(args)
-    os.makedirs(args.out, exist_ok=True)
     per_run = []
     for i in range(cfg.repeats):
         seed = cfg.seed + i
         nets, telemetry, final = _run_one(cfg, seed, run_id=i)
-        metrics.emit(telemetry, os.path.join(args.out, f"telemetry_run{i}.csv"))
-        checkpoint_save(nets, os.path.join(args.out, f"checkpoint_run{i}.json"))
+        metrics.emit(telemetry, _out_path(args, f"telemetry_run{i}.csv"))
+        checkpoint_save(nets, _out_path(args, f"checkpoint_run{i}.json"))
         per_run.append(final)
         print(
             f"run {i} (seed {seed}): precision={final['precision']:.6f} "
             f"recall={final['recall']:.6f} f1={final['f1']:.6f}"
         )
     agg = metrics.aggregate(per_run)
-    summary_path = os.path.join(args.out, "summary.csv")
+    summary_path = _out_path(args, "summary.csv")
     with atomic_open(summary_path) as f:
         f.write("metric,mean,std,runs\n")
         for k in ("precision", "recall", "f1"):
@@ -187,7 +184,7 @@ def _add_run_args(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--variant",
-        choices=("proposed", "inverted", "symmetric", "symmetric-intended", "baseline"),
+        choices=VARIANTS,
         default=None,
     )
     p.add_argument("--gy-loss", choices=trigan.G_Y_LOSS_MODES, default=None)

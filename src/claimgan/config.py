@@ -9,10 +9,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .data import SUM_TOLERANCE
 from .trigan import G_Y_LOSS_MODES, NET_NAMES, TrainConfig
-from .variants import VariantKind
+from .variants import STEP_FUNCTIONS
 
-VARIANTS = ("proposed", "inverted", "symmetric", "symmetric-intended", "baseline")
+VARIANTS = (*STEP_FUNCTIONS, "baseline")
 
 # JSON type of each scalar field
 _DATA_TYPES = {
@@ -137,9 +138,6 @@ class RunConfig:
             pairing=self.pairing,
         )
 
-    def variant_kind(self) -> VariantKind | None:
-        return None if self.variant == "proposed" else VariantKind(self.variant)
-
 
 def _parse_data(obj) -> DataSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -186,7 +184,7 @@ def _parse_data(obj) -> DataSpec:
 
 def _fractions_problem(v) -> bool:
     # v has passed _is_numbers; range first, so the sum cannot overflow
-    return any(not 0 <= f <= 1 for f in v) or abs(sum(v) - 1) > 1e-9
+    return any(not 0 <= f <= 1 for f in v) or abs(sum(v) - 1) > SUM_TOLERANCE
 
 
 def parse_config(doc: dict) -> RunConfig:

@@ -18,6 +18,9 @@ import numpy as np
 
 from .fileio import atomic_open
 
+# how far fractions that must sum to 1 (class priors, split fractions) may miss
+SUM_TOLERANCE = 1e-9
+
 LABEL_REFUTED = 0
 LABEL_SUPPORTED = 1
 
@@ -188,6 +191,13 @@ def class_priors(dataset: LabeledDataset) -> tuple[float, float]:
     return n_pos / n, (n - n_pos) / n
 
 
+def check_priors(pi_p: float, pi_n: float) -> None:
+    """Reject priors that are negative, not finite, or do not sum to 1
+    within SUM_TOLERANCE."""
+    if not (pi_p >= 0 and pi_n >= 0 and abs(pi_p + pi_n - 1.0) <= SUM_TOLERANCE):
+        raise ValueError(f"priors ({pi_p}, {pi_n}) must be nonnegative and sum to 1")
+
+
 def prior_from_counts(n_supported: int, n_refuted: int) -> tuple[float, float]:
     """Priors straight from label counts (both must be positive)."""
     if n_supported <= 0 or n_refuted <= 0:
@@ -206,7 +216,7 @@ def split(
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f < 0 for f in fractions):
         raise ValueError("need three nonnegative fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if abs(sum(fractions) - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"fractions sum to {sum(fractions)}, not 1")
     n = len(dataset)
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .data import check_priors
 from .nets import PROB_EPS
 
 # Equilibrium value of the label game in nats: 2*ln(1/2).
@@ -29,11 +30,6 @@ def as_dist(mass) -> np.ndarray:
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"mass sums to {p.sum()!r}, not 1")
     return p
-
-
-def _check_priors(pi_p: float, pi_n: float) -> None:
-    if pi_p < 0 or pi_n < 0 or abs(pi_p + pi_n - 1.0) > 1e-9:
-        raise ValueError(f"priors ({pi_p}, {pi_n}) must be nonnegative and sum to 1")
 
 
 def _same_support(*dists: np.ndarray) -> None:
@@ -101,7 +97,7 @@ def v_star(p, p_gp, p_gn, pi_p: float, pi_n: float) -> float:
     with q = pi_p*p_gp + pi_n*p_gn. The first expectation is taken under p;
     zero-mass points contribute nothing.
     """
-    _check_priors(pi_p, pi_n)
+    check_priors(pi_p, pi_n)
     p, p_gp, p_gn = as_dist(p), as_dist(p_gp), as_dist(p_gn)
     _same_support(p, p_gp, p_gn)
     q = pi_p * p_gp + pi_n * p_gn
@@ -196,7 +192,7 @@ def verify_equilibrium(
     if k > 4:
         raise ValueError("support size capped at 4 for grid enumeration")
     pi_n = 1.0 - pi_p
-    _check_priors(pi_p, pi_n)
+    check_priors(pi_p, pi_n)
     p = pi_p * p_p + pi_n * p_n
 
     grid = simplex_grid(k, grid_step)

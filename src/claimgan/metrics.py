@@ -1,14 +1,13 @@
-"""Evaluation protocol: P/R/F1, run aggregation, similarity trends, PCA.
+"""Evaluation protocol: P/R/F1, run aggregation, similarity trends.
 
-Telemetry records serialize to CSV or line-delimited JSON with the column
-set `run,iter,precision,recall,f1,loss_pos,loss_neg,loss_label,cos,man,euc`;
-absent fields are empty cells (CSV) or nulls (JSON).
+Telemetry records serialize to CSV with the column set
+`run,iter,precision,recall,f1,loss_pos,loss_neg,loss_label,cos,man,euc`;
+absent fields are empty cells.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -153,33 +152,6 @@ def similarity_report(
     return float(cos.mean()), float(man.mean()), float(euc.mean())
 
 
-def pca_project_2d(samples: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Project onto the top-2 principal axes of the mean-centered data.
-
-    Sign convention: each axis is flipped so its largest-magnitude loading
-    is positive. Returns (coords, rank_deficient); for rank-deficient data
-    the second coordinate is zeroed.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] < 2:
-        raise ValueError("need at least 2 samples of dim >= 2")
-    centered = samples - samples.mean(axis=0)
-    cov = centered.T @ centered / (samples.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    axes = eigvecs[:, :2].copy()
-    for j in range(2):
-        lead = np.argmax(np.abs(axes[:, j]))
-        if axes[lead, j] < 0:
-            axes[:, j] = -axes[:, j]
-    coords = centered @ axes
-    rank_deficient = bool(eigvals[1] <= max(eigvals[0], 1.0) * 1e-12)
-    if rank_deficient:
-        coords[:, 1] = 0.0
-    return coords, rank_deficient
-
-
 def _to_cell(value) -> str:
     if value is None:
         return ""
@@ -189,40 +161,25 @@ def _to_cell(value) -> str:
     return repr(float(value))
 
 
-def emit(records: list[MetricsRecord], path, format: str = "csv") -> None:
-    """Write records to path; floats carry full precision."""
-    if format == "csv":
-        with atomic_open(path, newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                d = asdict(rec)
-                writer.writerow([_to_cell(d[c]) for c in CSV_COLUMNS])
-    elif format == "line-json":
-        with atomic_open(path) as f:
-            for rec in records:
-                f.write(json.dumps(asdict(rec)) + "\n")
-    else:
-        raise ValueError(f"unknown format {format!r}")
+def emit(records: list[MetricsRecord], path) -> None:
+    """Write records to path as CSV; floats carry full precision."""
+    with atomic_open(path, newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            d = asdict(rec)
+            writer.writerow([_to_cell(d[c]) for c in CSV_COLUMNS])
 
 
-def load_records(path, format: str = "csv") -> list[MetricsRecord]:
+def load_records(path) -> list[MetricsRecord]:
     records = []
-    if format == "csv":
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != list(CSV_COLUMNS):
-                raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-            for row in reader:
-                kwargs = {"run": int(row["run"]), "iter": int(row["iter"])}
-                for c in CSV_COLUMNS[2:]:
-                    kwargs[c] = float(row[c]) if row[c] != "" else None
-                records.append(MetricsRecord(**kwargs))
-    elif format == "line-json":
-        with open(path) as f:
-            for line in f:
-                if line.strip():
-                    records.append(MetricsRecord(**json.loads(line)))
-    else:
-        raise ValueError(f"unknown format {format!r}")
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != list(CSV_COLUMNS):
+            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+        for row in reader:
+            kwargs = {"run": int(row["run"]), "iter": int(row["iter"])}
+            for c in CSV_COLUMNS[2:]:
+                kwargs[c] = float(row[c]) if row[c] != "" else None
+            records.append(MetricsRecord(**kwargs))
     return records

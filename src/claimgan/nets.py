@@ -246,26 +246,6 @@ def max_relative_error(analytic: ParamGrads, numeric: ParamGrads) -> float:
     return worst
 
 
-def grad_check(net: NeuralNet, loss_fn, batch: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between backprop and central differences.
-
-    loss_fn(outputs) -> (scalar_value, dLoss/dOutputs).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    out, cache = forward(net, batch)
-    _, out_grad = loss_fn(out)
-    analytic, _ = backward(net, cache, out_grad, input_grad=False)
-
-    def value():
-        o, _ = forward(net, batch)
-        v, _ = loss_fn(o)
-        return v
-
-    numeric = numeric_gradients(net, value, eps)
-    return max_relative_error(analytic, numeric)
-
-
 @dataclass
 class OptimizerState:
     algorithm: str  # "sgd" | "adam"

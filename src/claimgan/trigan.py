@@ -23,10 +23,12 @@ are the two stated readings of its update, and neither trains a classifier:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
-from .data import LabeledDataset, class_priors
+from .data import LabeledDataset, check_priors, class_priors
 from .metrics import MetricsRecord, precision_recall_f1, similarity_report
 from .nets import (
     NeuralNet,
@@ -66,8 +68,7 @@ def gan_objective(d_real, d_fake) -> float:
 
 def d_y_objective(d_on_real_mixed, d_on_gp, d_on_gn, pi_p: float, pi_n: float) -> float:
     """mean(log D_y(x)) + pi_p*mean(log(1-D_y(Gp))) + pi_n*mean(log(1-D_y(Gn)))."""
-    if pi_p < 0 or pi_n < 0 or abs(pi_p + pi_n - 1.0) > 1e-9:
-        raise ValueError(f"priors ({pi_p}, {pi_n}) must be nonnegative and sum to 1")
+    check_priors(pi_p, pi_n)
     d_real = _probs(d_on_real_mixed, "d_on_real_mixed")
     d_gp = _probs(d_on_gp, "d_on_gp")
     d_gn = _probs(d_on_gn, "d_on_gn")
@@ -118,8 +119,7 @@ def g_y_loss(
     """
     if mode not in G_Y_LOSS_MODES:
         raise ValueError(f"unknown g_y loss mode {mode!r}")
-    if pi_p < 0 or pi_n < 0 or abs(pi_p + pi_n - 1.0) > 1e-9:
-        raise ValueError(f"priors ({pi_p}, {pi_n}) must be nonnegative and sum to 1")
+    check_priors(pi_p, pi_n)
     if mode != "generator-labels":
         t_p = _probs(d_y_on_gp, "d_y_on_gp")
         t_n = _probs(d_y_on_gn, "d_y_on_gn")
@@ -150,8 +150,7 @@ class TriGanModel:
     sample_dim: int
 
     def __post_init__(self):
-        if self.pi_p < 0 or self.pi_n < 0 or abs(self.pi_p + self.pi_n - 1.0) > 1e-12:
-            raise ValueError("priors must be nonnegative and sum to 1")
+        check_priors(self.pi_p, self.pi_n)
         for name in ("g_p", "g_n"):
             net = getattr(self, name)
             if net.input_dim != self.noise_dim or net.output_dim != self.sample_dim:
@@ -236,6 +235,51 @@ class TrainConfig:
         return self.learning_rates.get(name, self.learning_rate)
 
 
+# --- gradient primitives ----------------------------------------------------
+#
+# A rule maps a net's output d on a batch of m rows to dLoss/dd; these two
+# differentiate w*mean(log d) and w*mean(log(1-d)), w a scalar or per-row.
+
+
+def log_grad(w=1.0):
+    return lambda d, m: w / (m * d)
+
+
+def log1m_grad(w=1.0):
+    return lambda d, m: -w / (m * (1.0 - d))
+
+
+def net_grads(net: NeuralNet, terms) -> tuple[ParamGrads, list[np.ndarray]]:
+    """Parameter gradients of `net` summed over (batch, rule) terms, left to
+    right; also returns the net's output on each batch."""
+    runs = [forward(net, batch) for batch, _ in terms]
+    total = None
+    for (out, cache), (_, rule) in zip(runs, terms):
+        grads, _ = backward(net, cache, rule(out, out.shape[0]), input_grad=False)
+        total = grads if total is None else add_grads(total, grads)
+    return total, [out for out, _ in runs]
+
+
+def generator_grads(gen: NeuralNet, z, judges) -> tuple[ParamGrads, list[np.ndarray]]:
+    """Parameter gradients of `gen` through (judge net, rule) terms on gen(z),
+    summed left to right at gen's output; also returns each judge's output."""
+    fake, cache = forward(gen, z)
+    runs = [forward(judge, fake) for judge, _ in judges]
+    into = None
+    for (out, judge_cache), (judge, rule) in zip(runs, judges):
+        _, g = backward(judge, judge_cache, rule(out, out.shape[0]), param_grads=False)
+        into = g if into is None else into + g
+    grads, _ = backward(gen, cache, into, input_grad=False)
+    return grads, [out for out, _ in runs]
+
+
+def bracket_grads(disc: NeuralNet, gen: NeuralNet, real, z) -> tuple[ParamGrads, float]:
+    """Gradients of gan_objective(disc(real), disc(gen(z))) for disc."""
+    fake, _ = forward(gen, z)
+    grads, outs = net_grads(disc, [(real, log_grad()), (fake, log1m_grad())])
+    return grads, gan_objective(*outs)
+
+
 # --- per-update gradient rules -------------------------------------------
 #
 # Each returns (grads for the net being updated, objective/loss value).
@@ -245,110 +289,90 @@ class TrainConfig:
 
 
 def d_p_step_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
-    fake, _ = forward(model.g_p, z)
-    d_real, cache_r = forward(model.d_p, x_p)
-    d_fake, cache_f = forward(model.d_p, fake)
-    value = gan_objective(d_real, d_fake)
-    m = d_real.shape[0]
-    g_real, _ = backward(model.d_p, cache_r, 1.0 / (m * d_real), input_grad=False)
-    g_fake, _ = backward(model.d_p, cache_f, -1.0 / (m * (1.0 - d_fake)), input_grad=False)
-    return scale_grads(add_grads(g_real, g_fake), model.pi_p), value
+    grads, value = bracket_grads(model.d_p, model.g_p, x_p, z)
+    return scale_grads(grads, model.pi_p), value
 
 
 def d_n_step_grads(model: TriGanModel, x_n, z) -> tuple[ParamGrads, float]:
-    fake, _ = forward(model.g_n, z)
-    d_real, cache_r = forward(model.d_n, x_n)
-    d_fake, cache_f = forward(model.d_n, fake)
-    value = gan_objective(d_real, d_fake)
-    m = d_real.shape[0]
-    g_real, _ = backward(model.d_n, cache_r, 1.0 / (m * d_real), input_grad=False)
-    g_fake, _ = backward(model.d_n, cache_f, -1.0 / (m * (1.0 - d_fake)), input_grad=False)
-    return scale_grads(add_grads(g_real, g_fake), model.pi_n), value
+    grads, value = bracket_grads(model.d_n, model.g_n, x_n, z)
+    return scale_grads(grads, model.pi_n), value
 
 
 def d_y_step_grads(model: TriGanModel, x, z) -> tuple[ParamGrads, float]:
     fake_p, _ = forward(model.g_p, z)
     fake_n, _ = forward(model.g_n, z)
-    d_real, cache_r = forward(model.d_y, x)
-    d_gp, cache_p = forward(model.d_y, fake_p)
-    d_gn, cache_n = forward(model.d_y, fake_n)
-    value = d_y_objective(d_real, d_gp, d_gn, model.pi_p, model.pi_n)
-    m = d_real.shape[0]
-    g_real, _ = backward(model.d_y, cache_r, 1.0 / (m * d_real), input_grad=False)
-    g_p_part, _ = backward(model.d_y, cache_p, -model.pi_p / (m * (1.0 - d_gp)), input_grad=False)
-    g_n_part, _ = backward(model.d_y, cache_n, -model.pi_n / (m * (1.0 - d_gn)), input_grad=False)
-    return add_grads(add_grads(g_real, g_p_part), g_n_part), value
+    terms = [(x, log_grad()), (fake_p, log1m_grad(model.pi_p)), (fake_n, log1m_grad(model.pi_n))]
+    grads, (d_real, d_gp, d_gn) = net_grads(model.d_y, terms)
+    return grads, d_y_objective(d_real, d_gp, d_gn, model.pi_p, model.pi_n)
 
 
 def g_p_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
-    fake, cache_g = forward(model.g_p, z)
-    d_p_out, cache_dp = forward(model.d_p, fake)
-    d_y_out, cache_dy = forward(model.d_y, fake)
-    loss = g_p_loss(d_p_out, d_y_out, model.pi_p)
-    m = fake.shape[0]
-    _, into_fake_p = backward(model.d_p, cache_dp, -model.pi_p / (m * d_p_out), param_grads=False)
-    _, into_fake_y = backward(model.d_y, cache_dy, -model.pi_p / (m * d_y_out), param_grads=False)
-    grads, _ = backward(model.g_p, cache_g, into_fake_p + into_fake_y, input_grad=False)
-    return grads, loss
+    rule = log_grad(-model.pi_p)
+    grads, outs = generator_grads(model.g_p, z, [(model.d_p, rule), (model.d_y, rule)])
+    return grads, g_p_loss(*outs, model.pi_p)
 
 
 def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
-    fake, cache_g = forward(model.g_n, z)
-    d_n_out, cache_dn = forward(model.d_n, fake)
-    d_y_out, cache_dy = forward(model.d_y, fake)
-    loss = g_n_loss(d_n_out, d_y_out, model.pi_n)
-    m = fake.shape[0]
-    _, into_fake_n = backward(model.d_n, cache_dn, -model.pi_n / (m * d_n_out), param_grads=False)
-    _, into_fake_y = backward(model.d_y, cache_dy, -model.pi_n / (m * d_y_out), param_grads=False)
-    grads, _ = backward(model.g_n, cache_g, into_fake_n + into_fake_y, input_grad=False)
-    return grads, loss
+    rule = log_grad(-model.pi_n)
+    grads, outs = generator_grads(model.g_n, z, [(model.d_n, rule), (model.d_y, rule)])
+    return grads, g_n_loss(*outs, model.pi_n)
 
 
 def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]:
+    pi_p, pi_n = model.pi_p, model.pi_n
     fake_p, _ = forward(model.g_p, z)
     fake_n, _ = forward(model.g_n, z)
     if mode == "generator-labels":
         # d_y takes no part in this loss, so it is not evaluated
-        u_p, cache_up = forward(model.g_y, fake_p)
-        u_n, cache_un = forward(model.g_y, fake_n)
-        loss = g_y_loss(None, None, model.pi_p, model.pi_n, mode, u_p, u_n)
-        m = fake_p.shape[0]
-        g_up, _ = backward(model.g_y, cache_up, -model.pi_p / (m * u_p), input_grad=False)
-        g_un, _ = backward(model.g_y, cache_un, model.pi_n / (m * (1.0 - u_n)), input_grad=False)
-        return add_grads(g_up, g_un), loss
+        terms = [(fake_p, log_grad(-pi_p)), (fake_n, log1m_grad(-pi_n))]
+        grads, (u_p, u_n) = net_grads(model.g_y, terms)
+        return grads, g_y_loss(None, None, pi_p, pi_n, mode, u_p, u_n)
     t_p, _ = forward(model.d_y, fake_p)
     t_n, _ = forward(model.d_y, fake_n)
     if mode == "alg1-line14":
-        loss = g_y_loss(t_p, t_n, model.pi_p, model.pi_n, mode)
         # the printed rule contains no g_y term: the gradient is exactly zero
-        return zero_grads(model.g_y), loss
-    u_p, cache_up = forward(model.g_y, fake_p)
-    u_n, cache_un = forward(model.g_y, fake_n)
-    loss = g_y_loss(t_p, t_n, model.pi_p, model.pi_n, mode, u_p, u_n)
-    m = fake_p.shape[0]
-    g_up, _ = backward(model.g_y, cache_up, -model.pi_p * t_p / (m * u_p), input_grad=False)
-    g_un, _ = backward(model.g_y, cache_un, -model.pi_n * t_n / (m * u_n), input_grad=False)
-    return add_grads(g_up, g_un), loss
+        return zero_grads(model.g_y), g_y_loss(t_p, t_n, pi_p, pi_n, mode)
+    terms = [(fake_p, log_grad(-pi_p * t_p)), (fake_n, log_grad(-pi_n * t_n))]
+    grads, (u_p, u_n) = net_grads(model.g_y, terms)
+    return grads, g_y_loss(t_p, t_n, pi_p, pi_n, mode, u_p, u_n)
 
 
-def proposed_step(model, opts, cfg, x_p, x_n, x, z, z2):
-    """One training iteration: the three discriminators ascend, then the
-    three generators descend on fresh noise; returns the discriminator
-    objectives recorded as telemetry."""
-    grads, loss_pos = d_p_step_grads(model, x_p, z)
-    optimizer_step(model.d_p, grads, opts["d_p"], "ascend")
-    grads, loss_neg = d_n_step_grads(model, x_n, z)
-    optimizer_step(model.d_n, grads, opts["d_n"], "ascend")
-    grads, loss_label = d_y_step_grads(model, x, z)
-    optimizer_step(model.d_y, grads, opts["d_y"], "ascend")
+# --- one training iteration, as a table of updates ---------------------------
+#
+# A row (net, direction, rule, slot): rule(model, cfg, batches) returns
+# (grads, value), the net steps in that direction, and the value goes to
+# telemetry slot 0/1/2 (loss_pos/loss_neg/loss_label) or nowhere (None).
+# Rules call the update rules through module globals, so a rebinding (a
+# tracer, a test double) sees every call.
 
-    grads, _ = g_p_step_grads(model, z2)
-    optimizer_step(model.g_p, grads, opts["g_p"], "descend")
-    grads, _ = g_n_step_grads(model, z2)
-    optimizer_step(model.g_n, grads, opts["g_n"], "descend")
-    grads, _ = g_y_step_grads(model, z2, cfg.g_y_loss_mode)
-    optimizer_step(model.g_y, grads, opts["g_y"], "descend")
-    return loss_pos, loss_neg, loss_label
+D_Y_ROW = ("d_y", "ascend", lambda m, cfg, b: d_y_step_grads(m, b.x, b.z), 2)
+G_Y_ROW = ("g_y", "descend", lambda m, cfg, b: g_y_step_grads(m, b.z2, cfg.g_y_loss_mode), None)
+
+PROPOSED_STEPS = (
+    ("d_p", "ascend", lambda m, cfg, b: d_p_step_grads(m, b.x_p, b.z), 0),
+    ("d_n", "ascend", lambda m, cfg, b: d_n_step_grads(m, b.x_n, b.z), 1),
+    D_Y_ROW,
+    ("g_p", "descend", lambda m, cfg, b: g_p_step_grads(m, b.z2), None),
+    ("g_n", "descend", lambda m, cfg, b: g_n_step_grads(m, b.z2), None),
+    G_Y_ROW,
+)
+
+
+def run_steps(table, model, opts, cfg, x_p, x_n, x, z, z2):
+    """One training iteration: the rows of `table` in order, discriminators
+    on noise z and generators on fresh noise z2. Returns (loss_pos,
+    loss_neg, loss_label)."""
+    batches = SimpleNamespace(x_p=x_p, x_n=x_n, x=x, z=z, z2=z2)
+    losses = [None, None, None]
+    for name, direction, rule, slot in table:
+        grads, value = rule(model, cfg, batches)
+        optimizer_step(getattr(model, name), grads, opts[name], direction)
+        if slot is not None:
+            losses[slot] = value
+    return tuple(losses)
+
+
+proposed_step = partial(run_steps, PROPOSED_STEPS)
 
 
 def _eval_seed(base_seed: int, run_id: int, iteration: int) -> np.random.Generator:
@@ -416,17 +440,12 @@ def train(
     return model, records
 
 
-def classify(model: TriGanModel, x) -> tuple[float, int]:
-    """Class score and hard label for one sample: label 1 iff g_y(x) >= 0.5."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != model.sample_dim:
-        raise ValueError(f"sample has {x.shape[1]} features, expected {model.sample_dim}")
-    score, _ = forward(model.g_y, x)
-    s = float(score[0, 0])
-    return s, int(s >= 0.5)
+def predict(net: NeuralNet, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Class scores of a one-output net and hard labels: 1 iff score >= 0.5."""
+    scores, _ = forward(net, np.asarray(xs, dtype=np.float64))
+    scores = scores[:, 0]
+    return scores, (scores >= 0.5).astype(np.int64)
 
 
 def classify_batch(model: TriGanModel, xs) -> tuple[np.ndarray, np.ndarray]:
-    scores, _ = forward(model.g_y, np.asarray(xs, dtype=np.float64))
-    scores = scores[:, 0]
-    return scores, (scores >= 0.5).astype(np.int64)
+    return predict(model.g_y, xs)

@@ -1,0 +1,88 @@
+"""What the benchmark in perfbench/ relies on, checked on every tier-1 run.
+
+perfbench/ is read here, never edited. Its tracer wraps package functions
+by module attribute, and its output checks pin the work a training step
+does (forward passes per step in perfbench/run.py). A change that renames
+a traced function or changes the work per step fails here first.
+
+The counts below are the work of one training step at the time they were
+recorded. Skipping the zero-gradient g_y update and reusing generator
+outputs (ROADMAP item 2) change them on purpose; that change updates this
+table in the same commit as the benchmark's own expected counts.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import claimgan.cli  # noqa: F401 - loads every module the tracer patches
+from claimgan import trigan
+from claimgan.nets import make_optimizer
+from claimgan.variants import STEP_FUNCTIONS
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
+def test_every_traced_function_exists():
+    for module, name in _traced():
+        fn = getattr(sys.modules[f"claimgan.{module}"], name, None)
+        assert callable(fn), f"claimgan.{module}.{name}"
+    assert callable(trigan.proposed_step)
+
+
+# (variant, g_y mode) -> forward, backward, optimizer_step calls in one step
+WORK_PER_STEP = {
+    ("proposed", "alg1-line14"): (21, 13, 6),
+    ("proposed", "eq4"): (23, 15, 6),
+    ("proposed", "generator-labels"): (21, 15, 6),
+    ("inverted", "alg1-line14"): (24, 5, 5),
+    ("symmetric", "alg1-line14"): (21, 7, 6),
+    ("symmetric-intended", "alg1-line14"): (21, 11, 6),
+}
+
+
+def _count_calls(monkeypatch, targets) -> dict:
+    """Rebind every package binding of each (module, name) target to a
+    counting wrapper, as the tracer does; returns the live counts."""
+    counts = {}
+    modules = [m for n, m in sys.modules.items() if n.startswith("claimgan")]
+    for module, name in targets:
+        orig = getattr(sys.modules[f"claimgan.{module}"], name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("variant, mode", sorted(WORK_PER_STEP))
+def test_work_per_step(variant, mode, monkeypatch):
+    work = ("forward", "backward", "optimizer_step")
+    rules = [t for t in _traced() if t[1].endswith("_grads")]
+    counts = _count_calls(monkeypatch, [("nets", n) for n in work] + rules)
+
+    model = trigan.build_model(2, 3, 0.6, 0.4, seed=0, hidden=8)
+    opts = {name: make_optimizer(net) for name, net in model.nets().items()}
+    cfg = trigan.TrainConfig(iterations=1, g_y_loss_mode=mode)
+    rng = np.random.default_rng(0)
+    x_p, x_n, x = (rng.standard_normal((4, 2)) for _ in range(3))
+    z, z2 = (rng.standard_normal((4, 3)) for _ in range(2))
+    STEP_FUNCTIONS[variant](model, opts, cfg, x_p, x_n, x, z, z2)
+    assert tuple(counts[n] for n in work) == WORK_PER_STEP[variant, mode]
+    # every optimizer step's gradients came through a rebound update rule
+    assert sum(counts[name] for _, name in rules) == counts["optimizer_step"]

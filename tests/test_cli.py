@@ -9,6 +9,7 @@ from claimgan.config import _DATA_TYPES, _TOP_KEYS, ConfigError, RunConfig, pars
 from claimgan.data import load_dataset
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
+from claimgan.nets import checkpoint_save, net_init
 
 
 def toy_config(**overrides):
@@ -243,6 +244,42 @@ class TestTrainEval:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
         assert_one_error_line(capsys.readouterr().err, "no-such-data.csv")
 
+
+    def test_priors_within_tolerance_train(self, tmp_path, capsys):
+        # 1e-10 off a sum of 1: inside the one prior tolerance everywhere
+        cfg_path = write_config(tmp_path, toy_config(priors=[0.6, 0.4000000001]))
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 0
+
+    def test_priors_outside_tolerance_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, toy_config(priors=[0.6, 0.41]))
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "priors:")
+
+
+class TestNoEmptyOutDir:
+    """A command that exits 2 before writing anything leaves no --out dir."""
+
+    @pytest.mark.parametrize("command", ["train", "repeat", "gen-data"])
+    def test_failed_command_leaves_no_out_dir(self, command, tmp_path, capsys):
+        cfg = toy_config()
+        if command == "gen-data":
+            cfg["data"] = {"kind": "dataset", "path": str(tmp_path / "no-such-data.csv")}
+        else:
+            cfg["data"]["n_per_class"] = 3  # empty validation and test splits
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_failed_eval_leaves_no_out_dir(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        checkpoint_save({"Gy": net_init([3, 4, 1], ["relu", "sigmoid"], 0)}, ckpt)
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen-data", "--config", write_config(tmp_path, toy_config()),
+                     "--out", str(data_dir)]) == 0
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "dataset.csv"),
+                "--out", str(out)]
+        assert main(argv) == 2  # a 3-input net on 2-D data
+        assert not out.exists()
 
 class TestRepeat:
     def test_writes_per_run_files_and_summary(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from claimgan.data import (
     LABEL_REFUTED,
     LABEL_SUPPORTED,
     LabeledDataset,
+    check_priors,
     class_priors,
     embed_pairs,
     gaussian_mixture,
@@ -165,6 +166,12 @@ class TestPriors:
             class_priors(LabeledDataset(np.zeros((0, 8)), np.zeros(0, dtype=int)))
         with pytest.raises(ValueError):
             prior_from_counts(10, 0)
+
+    def test_check_priors_one_tolerance(self):
+        check_priors(0.6, 0.4000000001)  # within 1e-9 of summing to 1
+        for bad in ((0.6, 0.41), (-0.1, 1.1), (float("nan"), 0.5), (0.5, float("inf"))):
+            with pytest.raises(ValueError):
+                check_priors(*bad)
 
 
 class TestSplit:

@@ -5,13 +5,12 @@ import pytest
 
 from claimgan.data import gaussian_mixture
 from claimgan.gradcheck import _random_instance
-from claimgan.nets import forward, max_relative_error, numeric_gradients
+from claimgan.nets import Layer, NeuralNet, forward, max_relative_error, numeric_gradients
 from claimgan.trigan import (
     NET_NAMES,
     TrainConfig,
     TriGanModel,
     build_model,
-    classify,
     classify_batch,
     d_y_objective,
     d_p_step_grads,
@@ -20,6 +19,7 @@ from claimgan.trigan import (
     g_y_loss,
     g_y_step_grads,
     gan_objective,
+    predict,
     train,
 )
 
@@ -147,15 +147,19 @@ class TestModel:
 
     def test_classify_threshold(self):
         m = build_model(3, 2, 0.5, 0.5, seed=1, hidden=8)
-        score, label = classify(m, [0.1, -0.2, 0.3])
-        assert label == int(score >= 0.5)
-        scores, labels = classify_batch(m, np.zeros((4, 3)))
-        assert scores.shape == (4,) and set(labels) <= {0, 1}
+        xs = np.random.default_rng(0).standard_normal((50, 3))
+        scores, labels = classify_batch(m, xs)
+        assert scores.shape == (50,) and labels.dtype == np.int64
+        assert np.array_equal(labels, (scores >= 0.5).astype(np.int64))
+        # the label flips exactly at 0.5: a one-layer identity net scores its input
+        net = NeuralNet([Layer(np.ones((1, 1)), np.zeros(1), "identity")])
+        s, lab = predict(net, [[0.5 - 1e-12], [0.5], [0.9]])
+        assert s.tolist() == [0.5 - 1e-12, 0.5, 0.9] and lab.tolist() == [0, 1, 1]
 
     def test_classify_rejects_wrong_width(self):
         m = build_model(3, 2, 0.5, 0.5, seed=1, hidden=8)
         with pytest.raises(ValueError):
-            classify(m, [0.1, 0.2])
+            classify_batch(m, [[0.1, 0.2]])
 
 
 class TestTrainConfig:
