@@ -8,6 +8,7 @@ Every command writes only under its --out directory; identical
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import data as datamod
 from . import equilibrium, gradcheck, metrics, trigan, variants
-from .config import VARIANTS, ConfigError, RunConfig, load_config
+from .config import VARIANTS, RunConfig, load_config
 from .fileio import atomic_open
 from .nets import checkpoint_load, checkpoint_save
 
@@ -103,8 +104,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     nets = checkpoint_load(args.checkpoint)
     if "Gy" not in nets:
-        print("checkpoint has no Gy net", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.checkpoint}: checkpoint has no Gy net")
     dataset = datamod.load_dataset(args.data)
     _, preds = trigan.predict(nets["Gy"], dataset.features)
     p, r, f1, degenerate = metrics.precision_recall_f1(preds, dataset.labels)
@@ -142,6 +142,8 @@ def cmd_repeat(args) -> int:
 
 def cmd_verify_equilibrium(args) -> int:
     k = args.support_size
+    if k < 1:
+        raise ValueError("--support-size: must be at least 1")
     if args.pp is not None:
         p_p = np.array(args.pp)
         p_n = np.array(args.pn) if args.pn is not None else p_p[::-1].copy()
@@ -158,6 +160,8 @@ def cmd_verify_equilibrium(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.instances < 1:
+        raise ValueError("--instances: must be at least 1")
     worst = gradcheck.check_all_gradients(args.seed, args.instances)
     overall = max(worst.values())
     for name in sorted(worst):
@@ -168,14 +172,11 @@ def cmd_grad_check(args) -> int:
 
 
 def _config_with_overrides(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.variant is not None:
-        cfg.variant = args.variant
-    if args.gy_loss is not None:
-        cfg.g_y_loss_mode = args.gy_loss
-    return cfg
+    overrides = {"seed": args.seed, "variant": args.variant, "g_y_loss_mode": args.gy_loss}
+    # replace() builds a new config, so every override is checked too
+    return dataclasses.replace(
+        load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _add_run_args(p):
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -7,45 +7,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .data import SUM_TOLERANCE
-from .trigan import G_Y_LOSS_MODES, NET_NAMES, TrainConfig
+from .trigan import TrainConfig
 from .variants import STEP_FUNCTIONS
 
 VARIANTS = (*STEP_FUNCTIONS, "baseline")
 
-# JSON type of each scalar field
-_DATA_TYPES = {
-    "n_per_class": "integer",
-    "dim": "integer",
-    "cov_scale": "number",
-    "data_seed": "integer",
-    "path": "string",
-    "embed_dim": "integer",
-    "embed_seed": "integer",
-}
 _TOY_KEYS = {"kind", "n_per_class", "dim", "means", "cov_scale", "data_seed"}
 _CORPUS_KEYS = {"kind", "path", "embed_dim", "embed_seed"}
 _DATASET_KEYS = {"kind", "path"}
-
-_TOP_TYPES = {
-    "variant": "string",
-    "iterations": "integer",
-    "batch_size": "integer",
-    "seed": "integer",
-    "noise_dim": "integer",
-    "hidden": "integer",
-    "optimizer": "string",
-    "learning_rate": "number",
-    "g_y_loss_mode": "string",
-    "eval_every": "integer",
-    "similarity_sample_cap": "integer",
-    "pairing": "string",
-    "repeats": "integer",
-    "split_seed": "integer",
-}
-_TOP_KEYS = {"data", "learning_rates", "split", "priors", *_TOP_TYPES}
 
 
 def _is_integer(v) -> bool:
@@ -103,40 +75,65 @@ class DataSpec:
     embed_seed: int = 0
 
 
+def _fractions_problem(v) -> bool:
+    # v holds numbers (parse_config checks types first); range first, so
+    # the sum cannot overflow
+    return any(not 0 <= f <= 1 for f in v) or abs(sum(v) - 1) > SUM_TOLERANCE
+
+
 @dataclass
-class RunConfig:
-    data: DataSpec
-    variant: str = "proposed"
+class RunConfig(TrainConfig):
+    """The training settings of TrainConfig plus the data, model and
+    evaluation-protocol settings of a run."""
+
+    data: DataSpec = field(kw_only=True)
     iterations: int = 2000
-    batch_size: int = 64
-    seed: int = 0
+    eval_every: int = 10
+    variant: str = "proposed"
     noise_dim: int = 8
     hidden: int = 64
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    learning_rates: dict = field(default_factory=dict)
-    g_y_loss_mode: str = "alg1-line14"
-    eval_every: int = 10
-    similarity_sample_cap: int = 20000
-    pairing: str = "nearest"
     repeats: int = 5
     split: tuple = (0.8, 0.1, 0.1)
     split_seed: int = 0
     priors: tuple | None = None  # override for (pi_p, pi_n)
 
+    def __post_init__(self):
+        problems = self.problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    def problems(self) -> list[str]:
+        problems = super().problems()
+        if self.variant not in VARIANTS:
+            problems.append(f"variant: must be one of {VARIANTS}")
+        if self.noise_dim < 1:
+            problems.append("noise_dim: must be positive")
+        if self.hidden < 1:
+            problems.append("hidden: must be positive")
+        if self.repeats < 1:
+            problems.append("repeats: must be at least 1")
+        if _fractions_problem(self.split):
+            problems.append("split: three nonnegative fractions summing to 1")
+        if self.split_seed < 0:
+            problems.append("split_seed: must be nonnegative")
+        if self.priors is not None and _fractions_problem(self.priors):
+            problems.append("priors: two nonnegative values summing to 1")
+        return problems
+
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            iterations=self.iterations,
-            batch_size=self.batch_size,
-            seed=self.seed if seed is None else seed,
-            optimizer=self.optimizer,
-            learning_rate=self.learning_rate,
-            learning_rates=dict(self.learning_rates),
-            g_y_loss_mode=self.g_y_loss_mode,
-            eval_every=self.eval_every,
-            similarity_sample_cap=self.similarity_sample_cap,
-            pairing=self.pairing,
-        )
+        """The training settings alone, under `seed` if one is given."""
+        settings = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        if seed is not None:
+            settings["seed"] = seed
+        return TrainConfig(**settings)
+
+
+# JSON type of each scalar field, from its annotation (a string under
+# postponed annotations); the other fields have their own checks below
+_JSON_TYPES = {"int": "integer", "float": "number", "str": "string"}
+_DATA_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(DataSpec) if f.type in _JSON_TYPES}
+_TOP_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(RunConfig) if f.type in _JSON_TYPES}
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_data(obj) -> DataSpec:
@@ -159,10 +156,7 @@ def _parse_data(obj) -> DataSpec:
         problems.append(f"data.means: must be an array of arrays of numbers, got {_shown(means)}")
     if problems:
         raise ConfigError("; ".join(problems))
-    spec = DataSpec(kind=kind)
-    for k, v in obj.items():
-        if k != "kind":
-            setattr(spec, k, v)
+    spec = DataSpec(**obj)
     if kind == "toy-mixture":
         if spec.n_per_class < 0:
             problems.append("data.n_per_class: must be nonnegative")
@@ -172,6 +166,8 @@ def _parse_data(obj) -> DataSpec:
             problems.append("data.means: must be two rows of data.dim numbers")
         if spec.cov_scale <= 0:
             problems.append("data.cov_scale: must be positive")
+        if spec.data_seed < 0:
+            problems.append("data.data_seed: must be nonnegative")
     else:
         if not spec.path:
             problems.append("data.path: required")
@@ -180,11 +176,6 @@ def _parse_data(obj) -> DataSpec:
     if problems:
         raise ConfigError("; ".join(problems))
     return spec
-
-
-def _fractions_problem(v) -> bool:
-    # v has passed _is_numbers; range first, so the sum cannot overflow
-    return any(not 0 <= f <= 1 for f in v) or abs(sum(v) - 1) > SUM_TOLERANCE
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -210,47 +201,12 @@ def parse_config(doc: dict) -> RunConfig:
         problems.append("learning_rates: must be an object of numbers")
     if problems:
         raise ConfigError("; ".join(problems))
-    cfg = RunConfig(data=data)
-    for k, v in doc.items():
-        if k == "data":
-            continue
-        if k in ("split", "priors") and v is not None:
-            v = tuple(v)
-        setattr(cfg, k, v)
-    if cfg.variant not in VARIANTS:
-        problems.append(f"variant: must be one of {VARIANTS}")
-    if cfg.iterations < 0:
-        problems.append("iterations: must be nonnegative")
-    if cfg.batch_size < 1:
-        problems.append("batch_size: must be at least 1")
-    if cfg.noise_dim < 1:
-        problems.append("noise_dim: must be positive")
-    if cfg.hidden < 1:
-        problems.append("hidden: must be positive")
-    if cfg.optimizer not in ("sgd", "adam"):
-        problems.append("optimizer: must be sgd or adam")
-    if cfg.learning_rate <= 0:
-        problems.append("learning_rate: must be positive")
-    unknown_nets = sorted(set(cfg.learning_rates) - set(NET_NAMES))
-    if unknown_nets:
-        problems.append(f"learning_rates: unknown nets {unknown_nets}")
-    if any(r <= 0 for r in cfg.learning_rates.values()):
-        problems.append("learning_rates: must be positive")
-    if cfg.g_y_loss_mode not in G_Y_LOSS_MODES:
-        problems.append(f"g_y_loss_mode: must be one of {G_Y_LOSS_MODES}")
-    if cfg.eval_every < 0:
-        problems.append("eval_every: must be nonnegative")
-    if cfg.pairing not in ("nearest", "random"):
-        problems.append("pairing: must be nearest or random")
-    if cfg.repeats < 1:
-        problems.append("repeats: must be at least 1")
-    if _fractions_problem(cfg.split):
-        problems.append("split: three nonnegative fractions summing to 1")
-    if cfg.priors is not None and _fractions_problem(cfg.priors):
-        problems.append("priors: two nonnegative values summing to 1")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    settings = {
+        k: tuple(v) if k in ("split", "priors") and v is not None else v
+        for k, v in doc.items()
+        if k != "data"
+    }
+    return RunConfig(data=data, **settings)
 
 
 def load_config(path) -> RunConfig:

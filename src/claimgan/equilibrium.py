@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .data import check_priors
+from .data import SUM_TOLERANCE, check_priors
 from .nets import PROB_EPS
 
 # Equilibrium value of the label game in nats: 2*ln(1/2).
@@ -27,7 +27,7 @@ def as_dist(mass) -> np.ndarray:
         raise ValueError("distribution must be a nonempty 1-D vector")
     if np.any(p < 0):
         raise ValueError("negative mass")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"mass sums to {p.sum()!r}, not 1")
     return p
 

@@ -8,25 +8,13 @@ absent fields are empty cells.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .fileio import atomic_open
 
-CSV_COLUMNS = (
-    "run",
-    "iter",
-    "precision",
-    "recall",
-    "f1",
-    "loss_pos",
-    "loss_neg",
-    "loss_label",
-    "cos",
-    "man",
-    "euc",
-)
+PAIRINGS = ("nearest", "random")
 
 
 class cKDTree:  # noqa: N801 - keeps scipy's name, which callers and tracers bind
@@ -58,6 +46,9 @@ class MetricsRecord:
     cos: float | None = None
     man: float | None = None
     euc: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def precision_recall_f1(
@@ -133,7 +124,7 @@ def similarity_report(
     generated = np.asarray(generated, dtype=np.float64)
     if real.size == 0 or generated.size == 0:
         raise ValueError("empty sample sets")
-    if pairing not in ("nearest", "random"):
+    if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing rule {pairing!r}")
     rng = np.random.default_rng(seed)
     n = min(n_cap, generated.shape[0])

@@ -24,6 +24,8 @@ HEAP_TRIM_THRESHOLD = 2 << 20
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
+OPTIMIZERS = ("sgd", "adam")
+
 CHECKPOINT_VERSION = 1
 
 
@@ -248,7 +250,7 @@ def max_relative_error(analytic: ParamGrads, numeric: ParamGrads) -> float:
 
 @dataclass
 class OptimizerState:
-    algorithm: str  # "sgd" | "adam"
+    algorithm: str  # one of OPTIMIZERS
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -259,7 +261,7 @@ class OptimizerState:
 
 
 def make_optimizer(net: NeuralNet, algorithm: str = "adam", lr: float = 1e-3) -> OptimizerState:
-    if algorithm not in ("sgd", "adam"):
+    if algorithm not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {algorithm!r}")
     if lr <= 0:
         raise ValueError("learning rate must be positive")

@@ -29,8 +29,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .data import LabeledDataset, check_priors, class_priors
-from .metrics import MetricsRecord, precision_recall_f1, similarity_report
+from .metrics import PAIRINGS, MetricsRecord, precision_recall_f1, similarity_report
 from .nets import (
+    OPTIMIZERS,
     NeuralNet,
     ParamGrads,
     add_grads,
@@ -219,17 +220,37 @@ class TrainConfig:
     pairing: str = "nearest"
 
     def __post_init__(self):
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def problems(self) -> list[str]:
+        """One "field: ..." line per out-of-range setting."""
+        problems = []
         if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+            problems.append("iterations: must be nonnegative")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.eval_every < 0:
-            raise ValueError("eval_every must be nonnegative")
+            problems.append("batch_size: must be at least 1")
+        if self.seed < 0:
+            problems.append("seed: must be nonnegative")
+        if self.optimizer not in OPTIMIZERS:
+            problems.append(f"optimizer: must be {' or '.join(OPTIMIZERS)}")
+        if self.learning_rate <= 0:
+            problems.append("learning_rate: must be positive")
+        unknown_nets = sorted(set(self.learning_rates) - set(NET_NAMES))
+        if unknown_nets:
+            problems.append(f"learning_rates: unknown nets {unknown_nets}")
+        if any(r <= 0 for r in self.learning_rates.values()):
+            problems.append("learning_rates: must be positive")
         if self.g_y_loss_mode not in G_Y_LOSS_MODES:
-            raise ValueError(f"unknown g_y loss mode {self.g_y_loss_mode!r}")
-        unknown = set(self.learning_rates) - set(NET_NAMES)
-        if unknown:
-            raise ValueError(f"learning rates for unknown nets: {sorted(unknown)}")
+            problems.append(f"g_y_loss_mode: must be one of {G_Y_LOSS_MODES}")
+        if self.eval_every < 0:
+            problems.append("eval_every: must be nonnegative")
+        if self.similarity_sample_cap < 1:
+            problems.append("similarity_sample_cap: must be at least 1")
+        if self.pairing not in PAIRINGS:
+            problems.append(f"pairing: must be {' or '.join(PAIRINGS)}")
+        return problems
 
     def lr_for(self, name: str) -> float:
         return self.learning_rates.get(name, self.learning_rate)

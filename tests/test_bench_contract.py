@@ -3,7 +3,9 @@
 perfbench/ is read here, never edited. Its tracer wraps package functions
 by module attribute, and its output checks pin the work a training step
 does (forward passes per step in perfbench/run.py). A change that renames
-a traced function or changes the work per step fails here first.
+a traced function or changes the work per step fails here first, and so
+does a change to the API the benchmark builds its inputs with: each
+workload's set-up is run here as the benchmark child runs it.
 
 The counts below are the work of one training step at the time they were
 recorded. Skipping the zero-gradient g_y update and reusing generator
@@ -12,6 +14,7 @@ table in the same commit as the benchmark's own expected counts.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -23,14 +26,20 @@ from claimgan import trigan
 from claimgan.nets import make_optimizer
 from claimgan.variants import STEP_FUNCTIONS
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench(name: str):
+    """perfbench/<name>.py, loaded as a module without touching sys.path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TRACED
+    return _perfbench("spans").TRACED
 
 
 def test_every_traced_function_exists():
@@ -86,3 +95,25 @@ def test_work_per_step(variant, mode, monkeypatch):
     assert tuple(counts[n] for n in work) == WORK_PER_STEP[variant, mode]
     # every optimizer step's gradients came through a rebound update rule
     assert sum(counts[name] for _, name in rules) == counts["optimizer_step"]
+
+
+@pytest.mark.parametrize("workload", ["toy-train", "corpus-oracle"])
+def test_bench_setup_builds_a_trainable_model(workload, tmp_path, monkeypatch):
+    """Each workload's set-up, run as the benchmark child runs it, builds a
+    model and TrainConfig that one proposed_step accepts."""
+    child, inputs = _perfbench("child"), _perfbench("inputs")
+    with open(inputs.write_inputs(workload, 0, str(tmp_path))) as f:
+        inp = json.load(f)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # _Package prepends src/
+    state = child.WORKLOADS[workload][0](inp, child._Package(str(ROOT / "src")))
+    model, cfg, data = state["model"], state["tcfg"], state["train_ds"]
+    opts = {
+        name: make_optimizer(net, cfg.optimizer, cfg.lr_for(name))
+        for name, net in model.nets().items()
+    }
+    rng = np.random.default_rng(0)
+    x_p, x_n, x = (a[rng.integers(0, a.shape[0], cfg.batch_size)]
+                   for a in (data.positives(), data.negatives(), data.features))
+    z, z2 = (rng.standard_normal((cfg.batch_size, model.noise_dim)) for _ in range(2))
+    losses = trigan.proposed_step(model, opts, cfg, x_p, x_n, x, z, z2)
+    assert np.isfinite(losses).all()

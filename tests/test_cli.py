@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimgan import trigan
 from claimgan.cli import main
-from claimgan.config import _DATA_TYPES, _TOP_KEYS, ConfigError, RunConfig, parse_config
+from claimgan.config import (
+    _DATA_TYPES,
+    _TOP_KEYS,
+    _TOP_TYPES,
+    ConfigError,
+    DataSpec,
+    RunConfig,
+    parse_config,
+)
 from claimgan.data import load_dataset
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
@@ -105,6 +114,26 @@ class TestConfig:
     def test_bad_field_element_named(self, field, value):
         with pytest.raises(ConfigError, match=field):
             parse_config(toy_config(**{field: value}))
+
+    def test_json_types_cover_every_scalar_field(self):
+        # the fields left untyped are exactly those with element checks
+        assert _TOP_KEYS - set(_TOP_TYPES) == {"data", "learning_rates", "split", "priors"}
+        assert _TOP_TYPES["learning_rate"] == "number" and _TOP_TYPES["seed"] == "integer"
+        assert _DATA_TYPES["path"] == "string" and _DATA_TYPES["cov_scale"] == "number"
+
+    def test_direct_construction_checked_training_fields_first(self):
+        with pytest.raises(ConfigError) as e:
+            RunConfig(data=DataSpec("toy-mixture"), hidden=0, seed=-1)
+        assert str(e.value) == "seed: must be nonnegative; hidden: must be positive"
+
+    def test_train_config_carries_every_training_setting(self):
+        settings = {"optimizer": "sgd", "learning_rates": {"d_p": 0.5}, "pairing": "random"}
+        cfg = parse_config(toy_config(**settings))
+        tcfg = cfg.train_config(seed=7)
+        assert type(tcfg) is trigan.TrainConfig
+        assert {k: getattr(tcfg, k) for k in settings} == settings
+        assert (tcfg.iterations, tcfg.eval_every, tcfg.seed) == (10, 5, 7)
+        assert cfg.train_config().seed == cfg.seed
 
 
 _JSON = st.recursive(
@@ -255,6 +284,56 @@ class TestTrainEval:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
         assert_one_error_line(capsys.readouterr().err, "priors:")
 
+    def test_eval_checkpoint_without_gy_exit_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        checkpoint_save({"Dp": net_init([2, 4, 1], ["relu", "sigmoid"], 0)}, ckpt)
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen-data", "--config", write_config(tmp_path, toy_config()),
+                     "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "dataset.csv"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, "has no Gy net")
+        assert not out.exists()
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a bad setting reached training")
+
+
+class TestRangeChecksBeforeTraining:
+    """Out-of-range settings exit 2 naming the field, before any step."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("similarity_sample_cap", 0),
+            ("seed", -1),
+            ("split_seed", -1),
+            ("data.data_seed", -1),
+        ],
+    )
+    def test_config_value_exit_2(self, field, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trigan, "train", _no_training)
+        cfg = toy_config()
+        if field.startswith("data."):
+            cfg["data"][field[len("data."):]] = value
+        else:
+            cfg[field] = value
+        out = tmp_path / "x"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"{field}: must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "repeat"])
+    def test_seed_override_exit_2(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trigan, "train", _no_training)
+        cfg_path = write_config(tmp_path, toy_config())
+        argv = [command, "--config", cfg_path, "--out", str(tmp_path / "x"), "--seed", "-1"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, "seed: must be nonnegative")
+
 
 class TestNoEmptyOutDir:
     """A command that exits 2 before writing anything leaves no --out dir."""
@@ -326,12 +405,21 @@ class TestVerifyEquilibrium:
         assert main(["verify-equilibrium", f"--grid-step={step}"]) == 2
         assert_one_error_line(capsys.readouterr().err, "grid step")
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_support_size_exit_2(self, k, capsys):
+        assert main(["verify-equilibrium", "-k", k]) == 2
+        assert_one_error_line(capsys.readouterr().err, "--support-size")
+
 
 class TestGradCheckCommand:
     def test_small_run_passes(self, capsys):
         assert main(["grad-check", "--instances", "2"]) == 0
         out = capsys.readouterr().out
         assert "overall max relative error" in out
+
+    def test_no_instances_exit_2(self, capsys):
+        assert main(["grad-check", "--instances", "0"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "--instances")
 
     def test_library_entry_reports_all_rules(self):
         worst = check_all_gradients(base_seed=0, n_instances=1)

@@ -173,6 +173,26 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(iterations=1, learning_rates={"d_q": 1e-3})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("optimizer", "rmsprop"),
+            ("learning_rate", -1),
+            ("pairing", "far"),
+            ("similarity_sample_cap", 0),
+            ("seed", -3),
+            ("learning_rates", {"d_p": -1.0}),
+        ],
+    )
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            TrainConfig(iterations=1, **{field: value})
+
+    def test_lists_every_problem(self):
+        with pytest.raises(ValueError) as e:
+            TrainConfig(iterations=-1, seed=-1)
+        assert str(e.value) == "iterations: must be nonnegative; seed: must be nonnegative"
+
     def test_per_net_learning_rates(self):
         cfg = TrainConfig(iterations=1, learning_rate=1e-3, learning_rates={"d_p": 1e-2})
         assert cfg.lr_for("d_p") == 1e-2
