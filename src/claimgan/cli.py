@@ -142,16 +142,19 @@ def cmd_repeat(args) -> int:
 
 def cmd_verify_equilibrium(args) -> int:
     k = args.support_size
-    if k < 1:
+    if k is not None and k < 1:
         raise ValueError("--support-size: must be at least 1")
     if args.pp is not None:
+        if k is not None and k != len(args.pp):
+            raise ValueError(f"--support-size: {k}, but --pp has {len(args.pp)} masses")
         p_p = np.array(args.pp)
         p_n = np.array(args.pn) if args.pn is not None else p_p[::-1].copy()
+    elif args.pn is not None:
+        raise ValueError("--pn: needs --pp")
     else:
-        p_p = np.zeros(k)
-        p_p[0] = 1.0
-        p_n = np.zeros(k)
-        p_n[min(1, k - 1)] = 1.0
+        k = k or 2  # one-hot masses on a support of 2 unless -k says otherwise
+        p_p = np.eye(k)[0]
+        p_n = np.eye(k)[min(1, k - 1)]
     report = equilibrium.verify_equilibrium(p_p, p_n, args.pi_p, args.grid_step)
     print(f"p_p = {p_p.tolist()}, p_n = {p_n.tolist()}, pi_p = {args.pi_p}")
     for line in report.lines():
@@ -162,6 +165,8 @@ def cmd_verify_equilibrium(args) -> int:
 def cmd_grad_check(args) -> int:
     if args.instances < 1:
         raise ValueError("--instances: must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed: must be nonnegative")
     worst = gradcheck.check_all_gradients(args.seed, args.instances)
     overall = max(worst.values())
     for name in sorted(worst):
@@ -215,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_repeat)
 
     p = sub.add_parser("verify-equilibrium", help="grid-check the equilibrium claims")
-    p.add_argument("--support-size", "-k", type=int, default=2)
+    p.add_argument("--support-size", "-k", type=int, default=None, help="default 2, or len(--pp)")
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--pi-p", type=float, default=0.5)
     p.add_argument("--pp", type=float, nargs="+", default=None, help="positive masses")

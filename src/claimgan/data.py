@@ -248,18 +248,22 @@ def load_dataset(path) -> LabeledDataset:
         header = f.readline()
         if not header.startswith("label,"):
             raise ValueError(f"{path}: not a dataset file (bad header)")
+        dim = len(header.rstrip("\n").split(",")) - 1
         features = []
         labels = []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
+            if len(parts) != dim + 1:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {dim} features, got {len(parts) - 1}"
+                )
             try:
                 labels.append(int(parts[0]))
                 features.append([float(v) for v in parts[1:]])
             except ValueError as e:
                 raise ValueError(f"{path}: malformed row on line {lineno}") from e
-    dim = len(header.rstrip("\n").split(",")) - 1
-    if not features:
-        return LabeledDataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
-    return LabeledDataset(np.array(features), np.array(labels))
+    # every row has dim features, so an empty file still gives shape (0, dim)
+    features = np.array(features, dtype=np.float64).reshape(len(labels), dim)
+    return LabeledDataset(features, np.array(labels, dtype=np.int64))

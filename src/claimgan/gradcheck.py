@@ -22,9 +22,7 @@ def _random_instance(seed: int, sample_dim=3, noise_dim=2, hidden=4, batch=4):
     model = build_model(sample_dim, noise_dim, 0.6, 0.4, seed, hidden=hidden)
     # nudge parameters off their init scale so nothing is symmetric
     for net in model.nets().values():
-        for layer in net.layers:
-            layer.weight += 0.1 * rng.standard_normal(layer.weight.shape)
-            layer.bias += 0.1 * rng.standard_normal(layer.bias.shape)
+        net.flat += 0.1 * rng.standard_normal(net.flat.size)
     x_p = rng.standard_normal((batch, sample_dim))
     x_n = rng.standard_normal((batch, sample_dim))
     x = rng.standard_normal((batch, sample_dim))

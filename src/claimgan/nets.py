@@ -2,7 +2,8 @@
 
 All six networks of the model (two sample generators, the label generator,
 three discriminators) are plain MLPs built from this module. Everything is
-float64 numpy and deterministic given a seed.
+float64 numpy and deterministic given a seed. A net's parameters, gradients,
+Adam moments and finite differences are all vectors laid out like its `flat`.
 """
 
 from __future__ import annotations
@@ -49,12 +50,21 @@ class NeuralNet:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arrays = [a for l in self.layers for a in (l.weight, l.bias)]
-        self.flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
-        ends = np.cumsum([a.size for a in arrays])
-        views = [v.reshape(a.shape) for v, a in zip(np.split(self.flat, ends[:-1]), arrays)]
-        pairs = zip(views[::2], views[1::2], self.layers)
-        self.layers = [Layer(w, b, l.activation) for w, b, l in pairs]
+        arrays = [a.ravel() for l in self.layers for a in (l.weight, l.bias)]
+        self.flat = np.concatenate(arrays, dtype=np.float64)
+        pairs = zip(self.unflatten(self.flat), self.layers)
+        self.layers = [Layer(w, b, l.activation) for (w, b), l in pairs]
+
+    def unflatten(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views into `vec`, a vector laid out like
+        `flat`: each layer's weight in C order, then its bias."""
+        views, start = [], 0
+        for l in self.layers:
+            mid = start + l.weight.size
+            end = mid + l.bias.size
+            views.append((vec[start:mid].reshape(l.weight.shape), vec[mid:end]))
+            start = end
+        return views
 
     @property
     def input_dim(self) -> int:
@@ -68,8 +78,8 @@ class NeuralNet:
         return NeuralNet(self.layers)
 
 
-# ParamGrads: one (dW, db) pair per layer, same shapes as the net's parameters.
-ParamGrads = list[tuple[np.ndarray, np.ndarray]]
+# ParamGrads: a float64 vector laid out like net.flat; see NeuralNet.unflatten.
+ParamGrads = np.ndarray
 
 
 def net_init(layer_dims: list[int], activations: list[str], seed: int) -> NeuralNet:
@@ -184,50 +194,40 @@ def backward(
 ) -> tuple[ParamGrads | None, np.ndarray | None]:
     """Reverse-mode gradients given dLoss/dOutput.
 
-    Returns (per-layer (dW, db), dLoss/dInput). The input gradient is what
-    lets a discriminator's judgment backpropagate into a generator. A caller
-    that needs only one of the two turns the other off and gets None in its
-    place: param_grads=False skips every dW and db, input_grad=False skips
-    the last layer's product with its weight.
+    Returns (dLoss/dParams laid out like net.flat, dLoss/dInput). The input
+    gradient is what lets a discriminator's judgment backpropagate into a
+    generator. A caller that needs only one of the two turns the other off
+    and gets None in its place: param_grads=False skips every dW and db,
+    input_grad=False skips the first layer's product with its weight.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if output_grad.shape != cache[-1][2].shape:
         raise ValueError(
             f"output_grad shape {output_grad.shape} != output shape {cache[-1][2].shape}"
         )
-    grads: ParamGrads = [None] * len(net.layers)  # type: ignore[list-item]
+    grads = np.empty_like(net.flat) if param_grads else None
+    views = net.unflatten(grads) if param_grads else None
     delta = output_grad
     for k in range(len(net.layers) - 1, -1, -1):
         h_in, z, out = cache[k]
         layer = net.layers[k]
         dz = delta * _activation_grad(layer.activation, z, out)
         if param_grads:
-            grads[k] = (dz.T @ h_in, dz.sum(axis=0))
+            w_view, b_view = views[k]
+            np.matmul(dz.T, h_in, out=w_view)
+            dz.sum(axis=0, out=b_view)
         if k or input_grad:
             delta = dz @ layer.weight
-    return (grads if param_grads else None), (delta if input_grad else None)
-
-
-def zero_grads(net: NeuralNet) -> ParamGrads:
-    return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
-
-
-def add_grads(a: ParamGrads, b: ParamGrads) -> ParamGrads:
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
-
-
-def scale_grads(g: ParamGrads, c: float) -> ParamGrads:
-    return [(c * w, c * b) for w, b in g]
+    return grads, (delta if input_grad else None)
 
 
 def numeric_gradients(net: NeuralNet, value_fn, eps: float = 1e-5) -> ParamGrads:
-    """Central finite differences of value_fn() w.r.t. every parameter of net.
+    """Central finite differences of value_fn() w.r.t. net.flat, laid out like it.
 
     value_fn must read the net's current (mutated) parameters; they are
     restored afterward.
     """
-    grad_net = net.copy()  # same layout as net; its flat vector collects the differences
-    flat, g = net.flat, grad_net.flat
+    flat, g = net.flat, np.empty_like(net.flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
@@ -236,16 +236,15 @@ def numeric_gradients(net: NeuralNet, value_fn, eps: float = 1e-5) -> ParamGrads
         minus = value_fn()
         flat[i] = orig
         g[i] = (plus - minus) / (2.0 * eps)
-    return [(l.weight, l.bias) for l in grad_net.layers]
+    return g
 
 
 def max_relative_error(analytic: ParamGrads, numeric: ParamGrads) -> float:
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-12)
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    """Largest |a - n| / max(|a|, |n|, 1e-12) over two vectors of one layout."""
+    if analytic.shape != numeric.shape:
+        raise ValueError(f"gradient shapes differ: {analytic.shape} != {numeric.shape}")
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 @dataclass
@@ -282,26 +281,22 @@ def optimizer_step(
     """
     if direction not in ("ascend", "descend"):
         raise ValueError(f"direction must be ascend or descend, got {direction!r}")
-    if len(grads) != len(net.layers):
-        raise ValueError("gradient/layer count mismatch")
-    for layer, (gw, gb) in zip(net.layers, grads):
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise ValueError("gradient shape mismatch")
-    g = np.concatenate([a.ravel() for pair in grads for a in pair])
-    if not np.isfinite(g).all():
+    if grads.shape != net.flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {net.flat.shape}")
+    if not np.isfinite(grads).all():
         raise ValueError("non-finite gradients; step rejected")
     sign = 1.0 if direction == "ascend" else -1.0
     state.step += 1
     if state.algorithm == "sgd":
-        net.flat += sign * state.lr * g
+        net.flat += sign * state.lr * grads
         return
     # adam with bias correction, one vector op per term over all parameters
     t = state.step
     b1, b2 = state.beta1, state.beta2
     state.m *= b1
-    state.m += (1 - b1) * g
+    state.m += (1 - b1) * grads
     state.v *= b2
-    state.v += (1 - b2) * g * g
+    state.v += (1 - b2) * grads * grads
     m_hat = state.m / (1 - b1**t)
     v_hat = state.v / (1 - b2**t)
     net.flat += sign * state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -34,15 +34,12 @@ from .nets import (
     OPTIMIZERS,
     NeuralNet,
     ParamGrads,
-    add_grads,
     backward,
     forward,
     keep_heap_for_steps,
     make_optimizer,
     net_init,
     optimizer_step,
-    scale_grads,
-    zero_grads,
 )
 
 NET_NAMES = ("g_p", "g_n", "g_y", "d_p", "d_n", "d_y")
@@ -277,7 +274,7 @@ def net_grads(net: NeuralNet, terms) -> tuple[ParamGrads, list[np.ndarray]]:
     total = None
     for (out, cache), (_, rule) in zip(runs, terms):
         grads, _ = backward(net, cache, rule(out, out.shape[0]), input_grad=False)
-        total = grads if total is None else add_grads(total, grads)
+        total = grads if total is None else total + grads
     return total, [out for out, _ in runs]
 
 
@@ -303,7 +300,7 @@ def bracket_grads(disc: NeuralNet, gen: NeuralNet, real, z) -> tuple[ParamGrads,
 
 # --- per-update gradient rules -------------------------------------------
 #
-# Each returns (grads for the net being updated, objective/loss value).
+# Each returns (flat grads for the net being updated, objective/loss value).
 # Discriminator rules carry the prior factor their update line prints;
 # d_y's printed leading prior is dropped as a typo (it would rescale the
 # whole ascent direction by pi_p for no stated reason).
@@ -311,12 +308,12 @@ def bracket_grads(disc: NeuralNet, gen: NeuralNet, real, z) -> tuple[ParamGrads,
 
 def d_p_step_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     grads, value = bracket_grads(model.d_p, model.g_p, x_p, z)
-    return scale_grads(grads, model.pi_p), value
+    return model.pi_p * grads, value
 
 
 def d_n_step_grads(model: TriGanModel, x_n, z) -> tuple[ParamGrads, float]:
     grads, value = bracket_grads(model.d_n, model.g_n, x_n, z)
-    return scale_grads(grads, model.pi_n), value
+    return model.pi_n * grads, value
 
 
 def d_y_step_grads(model: TriGanModel, x, z) -> tuple[ParamGrads, float]:
@@ -352,7 +349,7 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
     t_n, _ = forward(model.d_y, fake_n)
     if mode == "alg1-line14":
         # the printed rule contains no g_y term: the gradient is exactly zero
-        return zero_grads(model.g_y), g_y_loss(t_p, t_n, pi_p, pi_n, mode)
+        return np.zeros_like(model.g_y.flat), g_y_loss(t_p, t_n, pi_p, pi_n, mode)
     terms = [(fake_p, log_grad(-pi_p * t_p)), (fake_n, log_grad(-pi_n * t_n))]
     grads, (u_p, u_n) = net_grads(model.g_y, terms)
     return grads, g_y_loss(t_p, t_n, pi_p, pi_n, mode, u_p, u_n)

@@ -32,7 +32,6 @@ from .nets import (
     make_optimizer,
     net_init,
     optimizer_step,
-    zero_grads,
 )
 from .trigan import TrainConfig, TriGanModel, gan_objective
 
@@ -102,12 +101,12 @@ def inverted_d_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
 
 def inverted_g_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     # the printed objective contains no g_p term
-    return zero_grads(model.g_p), inverted_losses(model, x_p, z)["g_p"]
+    return np.zeros_like(model.g_p.flat), inverted_losses(model, x_p, z)["g_p"]
 
 
 def inverted_g_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     # the printed expression mentions only d_p and g_p; g_n gets nothing
-    return zero_grads(model.g_n), inverted_losses(model, x_p, z)["g_n"]
+    return np.zeros_like(model.g_n.flat), inverted_losses(model, x_p, z)["g_n"]
 
 
 def symmetric_d_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
@@ -125,7 +124,7 @@ def symmetric_d_n_grads(
     model: TriGanModel, x_p, x_n, z, mode: str
 ) -> tuple[ParamGrads, float]:
     if mode == "as-printed":
-        return zero_grads(model.d_n), symmetric_losses(model, x_p, x_n, z, mode)[1]
+        return np.zeros_like(model.d_n.flat), symmetric_losses(model, x_p, x_n, z, mode)[1]
     return trigan.bracket_grads(model.d_n, model.g_n, x_n, z)
 
 
@@ -133,7 +132,7 @@ def symmetric_g_n_grads(
     model: TriGanModel, x_p, x_n, z, mode: str
 ) -> tuple[ParamGrads, float]:
     if mode == "as-printed":
-        return zero_grads(model.g_n), symmetric_losses(model, x_p, x_n, z, mode)[1]
+        return np.zeros_like(model.g_n.flat), symmetric_losses(model, x_p, x_n, z, mode)[1]
     judges = [(model.d_n, trigan.log1m_grad())]
     grads, (d_fake,) = trigan.generator_grads(model.g_n, z, judges)
     return grads, gan_objective(forward(model.d_n, x_n)[0], d_fake)

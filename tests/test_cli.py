@@ -410,6 +410,17 @@ class TestVerifyEquilibrium:
         assert main(["verify-equilibrium", "-k", k]) == 2
         assert_one_error_line(capsys.readouterr().err, "--support-size")
 
+    def test_support_size_must_match_pp_exit_2(self, capsys):
+        argv = ["verify-equilibrium", "-k", "3", "--pp", "0.5", "0.5", "--grid-step", "0.25"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, "--support-size")
+        # a -k equal to len(--pp) is accepted
+        assert main(["verify-equilibrium", "-k", "2", "--pp", "0.75", "0.25"]) == 0
+
+    def test_pn_without_pp_exit_2(self, capsys):
+        assert main(["verify-equilibrium", "--pn", "0.3", "0.7"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "--pn")
+
 
 class TestGradCheckCommand:
     def test_small_run_passes(self, capsys):
@@ -420,6 +431,10 @@ class TestGradCheckCommand:
     def test_no_instances_exit_2(self, capsys):
         assert main(["grad-check", "--instances", "0"]) == 2
         assert_one_error_line(capsys.readouterr().err, "--instances")
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["grad-check", "--seed", "-1", "--instances", "1"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "--seed")
 
     def test_library_entry_reports_all_rules(self):
         worst = check_all_gradients(base_seed=0, n_instances=1)

@@ -235,6 +235,21 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="line 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row,got", [("1,0.5", 1), ("0,0.5,1.5,2.5", 3)])
+    def test_row_width_must_match_header(self, tmp_path, row, got):
+        path = tmp_path / "width.csv"
+        path.write_text(f"label,f_0,f_1\n1,0.5,1.5\n\n{row}\n")
+        with pytest.raises(ValueError) as e:
+            load_dataset(path)
+        assert str(e.value) == f"{path}: line 4: expected 2 features, got {got}"
+
+    def test_empty_file_keeps_header_width(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("label,f_0,f_1,f_2\n")
+        ds = load_dataset(path)
+        assert ds.features.shape == (0, 3) and ds.labels.shape == (0,)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+
 
 @given(
     st.lists(

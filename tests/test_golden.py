@@ -7,6 +7,9 @@ before any optimisation or refactor of the code that case runs. Refactors and sp
 keep these bytes. A digest may only change in a change that declares a
 behaviour change (new arithmetic, new columns, new defaults) and says why;
 re-record it then, never to make an optimisation pass.
+
+The same rule holds for the stdout of `claimgan grad-check --instances 2`,
+which pins the finite-difference checker's values beyond its tolerance.
 """
 
 import hashlib
@@ -55,6 +58,9 @@ GOLDEN = {
     },
 }
 
+# sha256 of `claimgan grad-check --instances 2` stdout (17 lines)
+GRAD_CHECK_STDOUT = "77c7fda5c2a4593aa4439059e325ed19eaca05d5803ec5457da76bab5adf6e62"
+
 
 def _toy_config(overrides: dict) -> dict:
     return {
@@ -85,3 +91,10 @@ def test_toy_training_bytes_match_golden(mode, tmp_path, capsys):
     for name in ("telemetry.csv", "checkpoint.json"):
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == golden[name], f"{mode}: {name} bytes changed"
+
+
+def test_grad_check_output_matches_golden(capsys):
+    assert main(["grad-check", "--instances", "2"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 17
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAD_CHECK_STDOUT, "grad-check output changed"

@@ -17,7 +17,6 @@ from claimgan.nets import (
     net_init,
     numeric_gradients,
     optimizer_step,
-    zero_grads,
 )
 
 
@@ -107,8 +106,7 @@ class TestBackward:
         x = np.random.default_rng(2).standard_normal((4, 3))
         out, cache = forward(net, x)
         grads, input_grad = backward(net, cache, np.zeros_like(out))
-        for gw, gb in grads:
-            assert np.all(gw == 0) and np.all(gb == 0)
+        assert grads.shape == net.flat.shape and np.all(grads == 0)
         assert np.all(input_grad == 0)
 
     def test_single_linear_layer_matches_closed_form(self):
@@ -119,8 +117,9 @@ class TestBackward:
         out, cache = forward(net, x)
         resid = out[0, 0] - y
         grads, _ = backward(net, cache, np.array([[2.0 * resid]]))
-        assert np.allclose(grads[0][0], 2.0 * resid * x)
-        assert grads[0][1][0] == pytest.approx(2.0 * resid)
+        ((dw, db),) = net.unflatten(grads)
+        assert np.allclose(dw, 2.0 * resid * x)
+        assert db[0] == pytest.approx(2.0 * resid)
 
     def test_shape_mismatch_rejected(self):
         net = net_init([2, 1], ["identity"], 0)
@@ -138,8 +137,7 @@ class TestBackward:
         none_params, only_input = backward(net, cache, g, param_grads=False)
         assert none_in is None and none_params is None
         assert np.array_equal(only_input, input_grad)
-        for (aw, ab), (bw, bb) in zip(only_params, grads):
-            assert np.array_equal(aw, bw) and np.array_equal(ab, bb)
+        assert np.array_equal(only_params, grads)
 
 
 class TestGradCheck:
@@ -183,6 +181,10 @@ class TestGradCheck:
         err = self.error(net, lambda out: (1.0, np.zeros_like(out)), np.zeros((2, 2)))
         assert err <= 1e-12
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="gradient shapes differ"):
+            max_relative_error(np.zeros(4), np.zeros(3))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_nets_pass(self, seed):
         rng = np.random.default_rng(seed)
@@ -199,23 +201,23 @@ class TestOptimizer:
     def test_zero_grads_leave_params(self):
         net = net_init([2, 3, 1], ["tanh", "sigmoid"], 0)
         before = [l.weight.copy() for l in net.layers]
-        optimizer_step(net, zero_grads(net), make_optimizer(net, "sgd", 0.1), "descend")
+        optimizer_step(net, np.zeros_like(net.flat), make_optimizer(net, "sgd", 0.1), "descend")
         for b, l in zip(before, net.layers):
             assert np.array_equal(b, l.weight)
 
     def test_sgd_descend_arithmetic(self):
         net = single_layer([[1.0]], [0.0], "identity")
-        grads = [(np.array([[0.5]]), np.array([0.0]))]
+        grads = np.array([0.5, 0.0])  # (dW, db), laid out like net.flat
         optimizer_step(net, grads, make_optimizer(net, "sgd", 0.1), "descend")
         assert net.layers[0].weight[0, 0] == pytest.approx(0.95)
 
     def test_sgd_ascend_then_descend_restores(self):
         net = net_init([3, 4, 1], ["relu", "sigmoid"], 2)
         before = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
-        grads = [
-            (np.random.default_rng(3).standard_normal(l.weight.shape), np.ones_like(l.bias))
-            for l in net.layers
-        ]
+        grads = np.empty_like(net.flat)
+        for (gw, gb), l in zip(net.unflatten(grads), net.layers):
+            gw[:] = np.random.default_rng(3).standard_normal(l.weight.shape)
+            gb[:] = 1.0
         state = make_optimizer(net, "sgd", 0.05)
         optimizer_step(net, grads, state, "ascend")
         optimizer_step(net, grads, state, "descend")
@@ -223,10 +225,19 @@ class TestOptimizer:
             assert np.allclose(w, l.weight) and np.allclose(b, l.bias)
         assert state.step == 2
 
+    @pytest.mark.parametrize("size_delta", [-1, 1])
+    def test_gradient_shape_mismatch_rejected_state_unchanged(self, size_delta):
+        net = net_init([2, 3, 1], ["tanh", "sigmoid"], 1)
+        state = make_optimizer(net, "adam", 0.1)
+        flat = net.flat.copy()
+        with pytest.raises(ValueError, match="gradient shape"):
+            optimizer_step(net, np.ones(net.flat.size + size_delta), state, "descend")
+        assert state.step == 0 and np.array_equal(net.flat, flat)
+
     def test_nonfinite_grads_rejected_state_unchanged(self):
         net = single_layer([[1.0]], [0.0], "identity")
         state = make_optimizer(net, "adam", 0.1)
-        bad = [(np.array([[np.inf]]), np.array([0.0]))]
+        bad = np.array([np.inf, 0.0])
         with pytest.raises(ValueError):
             optimizer_step(net, bad, state, "descend")
         assert state.step == 0
@@ -234,7 +245,7 @@ class TestOptimizer:
 
     def test_adam_moves_against_gradient(self):
         net = single_layer([[1.0]], [0.0], "identity")
-        grads = [(np.array([[0.5]]), np.array([0.0]))]
+        grads = np.array([0.5, 0.0])
         optimizer_step(net, grads, make_optimizer(net, "adam", 0.01), "descend")
         assert net.layers[0].weight[0, 0] < 1.0
 
@@ -243,11 +254,7 @@ class TestOptimizer:
         state = make_optimizer(net, "adam", 0.1)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            grads = [
-                (rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-                for l in net.layers
-            ]
-            optimizer_step(net, grads, state, "descend")
+            optimizer_step(net, rng.standard_normal(net.flat.size), state, "descend")
         for l in net.layers:
             assert np.all(np.isfinite(l.weight)) and np.all(np.isfinite(l.bias))
 
@@ -330,26 +337,49 @@ class TestFlatStorage:
         sign = 1.0 if direction == "ascend" else -1.0
         rng = np.random.default_rng(5)
         for step in range(1, 51):
-            grads = [
-                (rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-                for l in net.layers
-            ]
+            grads = rng.standard_normal(net.flat.size)
             optimizer_step(net, grads, state, direction)
-            flat_grads = [a for pair in grads for a in pair]
-            reference_step(params, flat_grads, moments, step, algorithm, 0.01, sign)
+            per_array = [a for pair in net.unflatten(grads) for a in pair]
+            reference_step(params, per_array, moments, step, algorithm, 0.01, sign)
             got = [a for l in net.layers for a in (l.weight, l.bias)]
             assert all(np.array_equal(a, b) for a, b in zip(got, params)), step
         assert state.step == 50
 
+    def test_backward_fills_the_flat_layout_like_a_per_layer_reference(self):
+        net = net_init([3, 5, 4, 6, 2], ["relu", "tanh", "sigmoid", "identity"], 7)
+        x = np.random.default_rng(8).standard_normal((5, 3))
+        out, cache = forward(net, x)
+        g = np.random.default_rng(9).standard_normal(out.shape)
+        grads, _ = backward(net, cache, g, input_grad=False)
+        assert grads.shape == net.flat.shape and grads.dtype == np.float64
+        # the per-layer rule as written before flat gradients, last layer first
+        act_grad = {
+            "relu": lambda z, o: (z > 0).astype(np.float64),
+            "tanh": lambda z, o: 1.0 - o * o,
+            "sigmoid": lambda z, o: o * (1.0 - o),
+            "identity": lambda z, o: np.ones_like(z),
+        }
+        expected = [None] * len(net.layers)
+        delta = g
+        for k in range(len(net.layers) - 1, -1, -1):
+            h_in, z, o = cache[k]
+            dz = delta * act_grad[net.layers[k].activation](z, o)
+            expected[k] = (dz.T @ h_in, dz.sum(axis=0))
+            delta = dz @ net.layers[k].weight
+        for (w_view, b_view), (dw, db) in zip(net.unflatten(grads), expected):
+            assert np.array_equal(w_view, dw) and np.array_equal(b_view, db)
+            assert np.shares_memory(w_view, grads) and np.shares_memory(b_view, grads)
+        # weight then bias, layer by layer, independent of unflatten
+        assert np.array_equal(grads, np.concatenate([a.ravel() for pair in expected for a in pair]))
+
     def test_nonfinite_grad_leaves_params_and_moments_untouched(self):
         net = net_init([2, 4, 1], ["relu", "sigmoid"], 6)
         state = make_optimizer(net, "adam", 0.1)
-        good = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in net.layers]
-        optimizer_step(net, good, state, "descend")
+        optimizer_step(net, np.ones_like(net.flat), state, "descend")
         flat, m, v = net.flat.copy(), state.m.copy(), state.v.copy()
         for bad_value in (np.nan, np.inf, -np.inf):
-            bad = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in net.layers]
-            bad[-1][1][0] = bad_value  # only the last array of the last layer
+            bad = np.ones_like(net.flat)
+            net.unflatten(bad)[-1][1][0] = bad_value  # only the last array of the last layer
             with pytest.raises(ValueError, match="non-finite"):
                 optimizer_step(net, bad, state, "descend")
             assert np.array_equal(net.flat, flat)
@@ -418,5 +448,6 @@ def test_numeric_gradients_matches_simple_analytic():
     # f(w, b) = (w*3 + b)^2 -> df/dw = 6*(3w+b), df/db = 2*(3w+b)
     value = lambda: float((net.layers[0].weight[0, 0] * 3 + net.layers[0].bias[0]) ** 2)
     grads = numeric_gradients(net, value)
-    assert grads[0][0][0, 0] == pytest.approx(6 * 7.0, rel=1e-6)
-    assert grads[0][1][0] == pytest.approx(2 * 7.0, rel=1e-6)
+    ((dw, db),) = net.unflatten(grads)
+    assert dw[0, 0] == pytest.approx(6 * 7.0, rel=1e-6)
+    assert db[0] == pytest.approx(2 * 7.0, rel=1e-6)

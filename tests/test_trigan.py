@@ -274,14 +274,13 @@ class TestGradientRules:
         z = np.random.default_rng(0).standard_normal((4, 2))
         grads, loss = g_y_step_grads(m, z, "alg1-line14")
         assert math.isfinite(loss)
-        for gw, gb in grads:
-            assert np.all(gw == 0.0) and np.all(gb == 0.0)
+        assert grads.shape == m.g_y.flat.shape and np.all(grads == 0.0)
 
     def test_eq4_g_y_gradient_is_nonzero(self):
         m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)
         z = np.random.default_rng(0).standard_normal((4, 2))
         grads, _ = g_y_step_grads(m, z, "eq4")
-        assert any(np.any(gw != 0.0) for gw, _ in grads)
+        assert any(np.any(gw != 0.0) for gw, _ in m.g_y.unflatten(grads))
 
     def test_generator_labels_g_y_gradient_matches_central_differences(self):
         for seed in range(20):
@@ -308,5 +307,5 @@ class TestGradientRules:
         g1, v1 = d_p_step_grads(m1, x_p, z)
         g2, v2 = d_p_step_grads(m2, x_p, z)
         assert v1 == v2  # objective itself carries no prior factor
-        for (w1, _), (w2, _) in zip(g1, g2):
-            assert np.allclose(w1 * 0.4, w2 * 0.8)
+        assert g1.shape == g2.shape == m1.d_p.flat.shape
+        assert np.allclose(g1 * 0.4, g2 * 0.8)  # weights and biases

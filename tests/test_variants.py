@@ -57,15 +57,15 @@ class TestInvertedValues:
         z = rng.standard_normal((4, 2))
         for fn, net in ((inverted_g_p_grads, m.g_p), (inverted_g_n_grads, m.g_n)):
             grads, _ = fn(m, x_p, z)
-            assert len(grads) == len(net.layers)
-            assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+            assert grads.shape == net.flat.shape
+            assert np.all(grads == 0)
 
     def test_d_n_grads_nonzero(self):
         m = small_model(3)
         rng = np.random.default_rng(2)
         grads, value = inverted_d_n_grads(m, rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
         assert np.isfinite(value)
-        assert any(np.any(gw != 0) for gw, _ in grads)
+        assert any(np.any(gw != 0) for gw, _ in m.d_n.unflatten(grads))
 
 
 class TestSymmetricValues:
@@ -112,8 +112,8 @@ class TestSymmetricGrads:
         z = rng.standard_normal((4, 2))
         gd, _ = symmetric_d_n_grads(m, x_p, x_n, z, "as-printed")
         gg, _ = symmetric_g_n_grads(m, x_p, x_n, z, "as-printed")
-        for grads in (gd, gg):
-            assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        for grads, net in ((gd, m.d_n), (gg, m.g_n)):
+            assert grads.shape == net.flat.shape and np.all(grads == 0)
 
     def test_intended_second_pair_trains(self):
         m = small_model(5)
@@ -123,8 +123,8 @@ class TestSymmetricGrads:
         z = rng.standard_normal((4, 2))
         gd, _ = symmetric_d_n_grads(m, x_p, x_n, z, "intended")
         gg, _ = symmetric_g_n_grads(m, x_p, x_n, z, "intended")
-        assert any(np.any(gw != 0) for gw, _ in gd)
-        assert any(np.any(gw != 0) for gw, _ in gg)
+        assert any(np.any(gw != 0) for gw, _ in m.d_n.unflatten(gd))
+        assert any(np.any(gw != 0) for gw, _ in m.g_n.unflatten(gg))
 
 
 class TestTrainVariant:
