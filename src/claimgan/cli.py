@@ -57,7 +57,9 @@ def _run_one(cfg: RunConfig, seed: int, run_id: int):
     priors = cfg.priors or datamod.class_priors(train_ds)
     tcfg = cfg.train_config(seed=seed)
     if cfg.variant == "baseline":
-        net, telemetry = variants.baseline_train(train_ds, tcfg, val_data=val_ds, run_id=run_id)
+        net, telemetry = variants.baseline_train(
+            train_ds, tcfg, val_data=val_ds, run_id=run_id, hidden=cfg.hidden
+        )
         nets = {"Gy": net}
     else:
         model = trigan.build_model(
@@ -155,6 +157,12 @@ def cmd_verify_equilibrium(args) -> int:
         k = k or 2  # one-hot masses on a support of 2 unless -k says otherwise
         p_p = np.eye(k)[0]
         p_n = np.eye(k)[min(1, k - 1)]
+    for flag, masses in (("--pp", p_p), ("--pn", p_n)):
+        if len(masses) != len(p_p) or not datamod.is_distribution(masses):
+            raise ValueError(f"{flag}: masses {masses.tolist()} must be {len(p_p)} values "
+                             "in [0, 1] summing to 1")
+    if not datamod.is_distribution((args.pi_p, 1.0 - args.pi_p)):
+        raise ValueError(f"--pi-p: must lie in [0, 1], got {args.pi_p}")
     report = equilibrium.verify_equilibrium(p_p, p_n, args.pi_p, args.grid_step)
     print(f"p_p = {p_p.tolist()}, p_n = {p_n.tolist()}, pi_p = {args.pi_p}")
     for line in report.lines():
@@ -168,7 +176,7 @@ def cmd_grad_check(args) -> int:
     if args.seed < 0:
         raise ValueError("--seed: must be nonnegative")
     worst = gradcheck.check_all_gradients(args.seed, args.instances)
-    overall = max(worst.values())
+    overall = np.max(list(worst.values()))  # NaN-propagating, so a NaN error fails
     for name in sorted(worst):
         status = "ok" if worst[name] <= GRAD_CHECK_TOLERANCE else "FAIL"
         print(f"{name:30s} max rel err {worst[name]:.3e}  {status}")

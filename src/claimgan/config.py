@@ -9,15 +9,18 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .data import SUM_TOLERANCE
+from .data import is_distribution
 from .trigan import TrainConfig
 from .variants import STEP_FUNCTIONS
 
 VARIANTS = (*STEP_FUNCTIONS, "baseline")
 
-_TOY_KEYS = {"kind", "n_per_class", "dim", "means", "cov_scale", "data_seed"}
-_CORPUS_KEYS = {"kind", "path", "embed_dim", "embed_seed"}
-_DATASET_KEYS = {"kind", "path"}
+# data kind -> the DataSpec fields a config may set for it
+DATA_KINDS = {
+    "toy-mixture": {"kind", "n_per_class", "dim", "means", "cov_scale", "data_seed"},
+    "corpus": {"kind", "path", "embed_dim", "embed_seed"},
+    "dataset": {"kind", "path"},
+}
 
 
 def _is_integer(v) -> bool:
@@ -64,7 +67,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataSpec:
-    kind: str  # "toy-mixture" | "corpus" | "dataset"
+    kind: str  # a key of DATA_KINDS
     n_per_class: int = 5000
     dim: int = 2
     means: list = field(default_factory=lambda: [[-2.0, -2.0], [2.0, 2.0]])
@@ -73,12 +76,6 @@ class DataSpec:
     path: str = ""
     embed_dim: int = 64
     embed_seed: int = 0
-
-
-def _fractions_problem(v) -> bool:
-    # v holds numbers (parse_config checks types first); range first, so
-    # the sum cannot overflow
-    return any(not 0 <= f <= 1 for f in v) or abs(sum(v) - 1) > SUM_TOLERANCE
 
 
 @dataclass
@@ -112,11 +109,11 @@ class RunConfig(TrainConfig):
             problems.append("hidden: must be positive")
         if self.repeats < 1:
             problems.append("repeats: must be at least 1")
-        if _fractions_problem(self.split):
+        if not is_distribution(self.split):
             problems.append("split: three nonnegative fractions summing to 1")
         if self.split_seed < 0:
             problems.append("split_seed: must be nonnegative")
-        if self.priors is not None and _fractions_problem(self.priors):
+        if self.priors is not None and not is_distribution(self.priors):
             problems.append("priors: two nonnegative values summing to 1")
         return problems
 
@@ -140,11 +137,7 @@ def _parse_data(obj) -> DataSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("data: must be an object with a 'kind' field")
     kind = obj["kind"]
-    allowed = {
-        "toy-mixture": _TOY_KEYS,
-        "corpus": _CORPUS_KEYS,
-        "dataset": _DATASET_KEYS,
-    }.get(kind) if isinstance(kind, str) else None
+    allowed = DATA_KINDS.get(kind) if isinstance(kind, str) else None
     if allowed is None:
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     unknown = set(obj) - allowed

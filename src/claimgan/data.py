@@ -21,6 +21,13 @@ from .fileio import atomic_open
 # how far fractions that must sum to 1 (class priors, split fractions) may miss
 SUM_TOLERANCE = 1e-9
 
+
+def is_distribution(values) -> bool:
+    """Every value in [0, 1] (so none is NaN), summing to 1 within SUM_TOLERANCE.
+    The range test runs first, so the sum cannot overflow."""
+    return all(0 <= v <= 1 for v in values) and abs(sum(values) - 1) <= SUM_TOLERANCE
+
+
 LABEL_REFUTED = 0
 LABEL_SUPPORTED = 1
 
@@ -192,9 +199,8 @@ def class_priors(dataset: LabeledDataset) -> tuple[float, float]:
 
 
 def check_priors(pi_p: float, pi_n: float) -> None:
-    """Reject priors that are negative, not finite, or do not sum to 1
-    within SUM_TOLERANCE."""
-    if not (pi_p >= 0 and pi_n >= 0 and abs(pi_p + pi_n - 1.0) <= SUM_TOLERANCE):
+    """Reject priors that are not a probability vector (is_distribution)."""
+    if not is_distribution((pi_p, pi_n)):
         raise ValueError(f"priors ({pi_p}, {pi_n}) must be nonnegative and sum to 1")
 
 
@@ -214,10 +220,8 @@ def split(
     Sizes are floored; remainder samples go to the train split.
     """
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError("need three nonnegative fractions")
-    if abs(sum(fractions) - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"fractions sum to {sum(fractions)}, not 1")
+    if len(fractions) != 3 or not is_distribution(fractions):
+        raise ValueError(f"need three fractions in [0, 1] summing to 1, got {list(fractions)}")
     n = len(dataset)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)

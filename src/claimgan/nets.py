@@ -23,11 +23,28 @@ PROB_EPS = 1e-7
 M_TRIM_THRESHOLD = -1
 HEAP_TRIM_THRESHOLD = 2 << 20
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
-
 OPTIMIZERS = ("sgd", "adam")
 
 CHECKPOINT_VERSION = 1
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.minimum(np.maximum(s, PROB_EPS), 1.0 - PROB_EPS)
+
+
+# activation name -> (activation of z, its derivative from z and the output)
+ACTIVATIONS = {
+    # the derivative is a float mask: multiplying by a bool mask is ~10% slower
+    # (mixed-dtype loop)
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, out: (z > 0).astype(np.float64)),
+    "tanh": (np.tanh, lambda z, out: 1.0 - out * out),
+    # out is the clamped value; inside the clamp the derivative is exact, at
+    # the clamp it is a vanishing surrogate.
+    "sigmoid": (_sigmoid, lambda z, out: out * (1.0 - out)),
+    "identity": (lambda z: z, lambda z, out: np.ones_like(z)),
+}
 
 
 class CheckpointError(ValueError):
@@ -50,6 +67,9 @@ class NeuralNet:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for l in self.layers:
+            if l.activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {l.activation!r}")
         arrays = [a.ravel() for l in self.layers for a in (l.weight, l.bias)]
         self.flat = np.concatenate(arrays, dtype=np.float64)
         pairs = zip(self.unflatten(self.flat), self.layers)
@@ -95,9 +115,6 @@ def net_init(layer_dims: list[int], activations: list[str], seed: int) -> Neural
         raise ValueError(
             f"{len(layer_dims) - 1} layers but {len(activations)} activations"
         )
-    for a in activations:
-        if a not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {a!r}")
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out, act in zip(layer_dims[:-1], layer_dims[1:], activations):
@@ -132,20 +149,6 @@ def keep_heap_for_steps() -> None:
     mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
-def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    if act == "tanh":
-        return np.tanh(z)
-    if act == "sigmoid":
-        e = np.exp(-np.abs(z))
-        s = np.where(z >= 0, 1.0, e) / (1.0 + e)
-        return np.minimum(np.maximum(s, PROB_EPS), 1.0 - PROB_EPS)
-    if act == "identity":
-        return z
-    raise ValueError(f"unknown activation {act!r}")
-
-
 def forward(net: NeuralNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the net on a (m, input_dim) batch.
 
@@ -163,25 +166,10 @@ def forward(net: NeuralNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     h = batch
     for layer in net.layers:
         z = h @ layer.weight.T + layer.bias
-        out = _apply_activation(layer.activation, z)
+        out = ACTIVATIONS[layer.activation][0](z)
         cache.append((h, z, out))
         h = out
     return h, cache
-
-
-def _activation_grad(act: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if act == "relu":
-        # a float mask: multiplying by a bool mask is ~10% slower (mixed-dtype loop)
-        return (z > 0).astype(np.float64)
-    if act == "tanh":
-        return 1.0 - out * out
-    if act == "sigmoid":
-        # out is the clamped value; inside the clamp this is the exact
-        # derivative, at the clamp it is a vanishing surrogate.
-        return out * (1.0 - out)
-    if act == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {act!r}")
 
 
 def backward(
@@ -211,7 +199,7 @@ def backward(
     for k in range(len(net.layers) - 1, -1, -1):
         h_in, z, out = cache[k]
         layer = net.layers[k]
-        dz = delta * _activation_grad(layer.activation, z, out)
+        dz = delta * ACTIVATIONS[layer.activation][1](z, out)
         if param_grads:
             w_view, b_view = views[k]
             np.matmul(dz.T, h_in, out=w_view)
@@ -340,10 +328,11 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
                 b = np.array(rec["biases"][k], dtype=np.float64)
                 if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
                     raise CheckpointError(f"net {name!r}: parameter shape mismatch")
-                if act not in ACTIVATIONS:
-                    raise CheckpointError(f"net {name!r}: unknown activation {act!r}")
                 layers.append(Layer(w, b, act))
-            nets[name] = NeuralNet(layers)
+            try:
+                nets[name] = NeuralNet(layers)
+            except (TypeError, ValueError) as e:  # a bad activation or no layers
+                raise CheckpointError(f"net {name!r}: {e}") from e
     except (KeyError, IndexError, TypeError, ValueError) as e:  # ragged or layerless nets
         raise CheckpointError(f"malformed checkpoint: {e}") from e
     return nets

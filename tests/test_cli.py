@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from claimgan.config import (
 from claimgan.data import load_dataset
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
-from claimgan.nets import checkpoint_save, net_init
+from claimgan.nets import checkpoint_load, checkpoint_save, net_init
 
 
 def toy_config(**overrides):
@@ -104,6 +106,7 @@ class TestConfig:
         [
             ("split", [0.8, "0.1", 0.1]),
             ("split", [0.5, 10**400, 0.0]),
+            ("split", [10**308, 10**308, 0]),  # the range test runs before the sum
             ("priors", [0.5, None]),
             ("learning_rate", float("nan")),
             ("learning_rates", {"g_p": "fast"}),
@@ -125,6 +128,15 @@ class TestConfig:
         with pytest.raises(ConfigError) as e:
             RunConfig(data=DataSpec("toy-mixture"), hidden=0, seed=-1)
         assert str(e.value) == "seed: must be nonnegative; hidden: must be positive"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("split", (float("nan"), 0.5, 0.5)), ("priors", (float("nan"), 1.0)),
+         ("priors", (1 + 1e-10, 0.0))],
+    )
+    def test_direct_construction_rejects_bad_probabilities(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            RunConfig(data=DataSpec("toy-mixture"), **{field: value})
 
     def test_train_config_carries_every_training_setting(self):
         settings = {"optimizer": "sgd", "learning_rates": {"d_p": 0.5}, "pairing": "random"}
@@ -216,6 +228,13 @@ class TestTrainEval:
         )
         rec = load_records(eval_dir / "metrics.csv")[0]
         assert rec.f1 is not None
+
+    def test_baseline_uses_hidden(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, toy_config(variant="baseline", hidden=8))
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        layers = checkpoint_load(out / "checkpoint.json")["Gy"].layers
+        assert [l.weight.shape for l in layers] == [(8, 2), (8, 8), (1, 8)]
 
     def test_variant_override(self, tmp_path):
         cfg_path = write_config(tmp_path, toy_config())
@@ -399,8 +418,36 @@ class TestVerifyEquilibrium:
 
     def test_invalid_masses_exit_2(self, capsys):
         assert main(["verify-equilibrium", "--pp", "0.6", "0.6"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "--pp")
 
-    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--pp", "nan", "1"], "--pp"),
+            (["--pn", "0.6", "0.6"], "--pn"),
+            (["--pp", "0.5", "0.5", "--pn", "0.6", "0.6"], "--pn"),
+            (["--pp", "0.5", "0.5", "--pn", "0.2", "0.3", "0.5"], "--pn"),
+            (["--pi-p", "1.5"], "--pi-p"),
+            (["--pi-p", "nan"], "--pi-p"),
+        ],
+    )
+    def test_bad_value_names_its_flag(self, argv, flag, capsys):
+        assert main(["verify-equilibrium", "--grid-step", "0.25", *argv]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, flag)
+        assert err.startswith(f"error: {flag}: ")
+
+    def test_gap_line_prints_a_float(self, capsys):
+        assert main(["verify-equilibrium"]) == 0
+        out = capsys.readouterr().out
+        assert "gap to 2*ln(1/2)   = 0.0 (slack 0.05)" in out.splitlines()
+        assert "np.float64" not in out
+
+    def test_support_of_five_on_a_coarse_grid_runs(self, capsys):
+        assert main(["verify-equilibrium", "-k", "5", "--grid-step", "0.25"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "1e-7", "5e-324"])
     def test_bad_grid_step_exit_2(self, step, capsys):
         assert main(["verify-equilibrium", f"--grid-step={step}"]) == 2
         assert_one_error_line(capsys.readouterr().err, "grid step")
@@ -439,4 +486,18 @@ class TestGradCheckCommand:
     def test_library_entry_reports_all_rules(self):
         worst = check_all_gradients(base_seed=0, n_instances=1)
         assert len(worst) >= 10  # main model + variant rules
-        assert max(worst.values()) <= 1e-4
+        assert np.max(list(worst.values())) <= 1e-4  # NaN-propagating
+
+    def test_nan_gradient_fails(self, monkeypatch, capsys):
+        real = trigan.d_p_step_grads
+
+        def nan_grads(*args):
+            grads, value = real(*args)
+            return grads * np.nan, value
+
+        monkeypatch.setattr(trigan, "d_p_step_grads", nan_grads)
+        assert np.isnan(check_all_gradients(base_seed=0, n_instances=1)["d_p"])
+        assert main(["grad-check", "--instances", "1"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^d_p +max rel err nan  FAIL$", out, re.M)
+        assert "overall max relative error: nan" in out

@@ -169,7 +169,9 @@ class TestPriors:
 
     def test_check_priors_one_tolerance(self):
         check_priors(0.6, 0.4000000001)  # within 1e-9 of summing to 1
-        for bad in ((0.6, 0.41), (-0.1, 1.1), (float("nan"), 0.5), (0.5, float("inf"))):
+        bad_priors = ((0.6, 0.41), (-0.1, 1.1), (float("nan"), 0.5), (0.5, float("inf")),
+                      (1 + 1e-10, 0.0))
+        for bad in bad_priors:
             with pytest.raises(ValueError):
                 check_priors(*bad)
 
@@ -205,6 +207,11 @@ class TestSplit:
             split(ds, (0.5, 0.4, 0.2), seed=0)
         with pytest.raises(ValueError):
             split(ds, (1.2, -0.1, -0.1), seed=0)
+        for nan_slot in range(3):
+            fractions = [0.5, 0.5, 0.5]
+            fractions[nan_slot] = float("nan")
+            with pytest.raises(ValueError, match="fractions in"):
+                split(ds, fractions, seed=0)
 
 
 class TestSaveLoad:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from claimgan.equilibrium import (
     EQUILIBRIUM_VALUE,
+    MAX_GRID_POINTS,
     as_dist,
     jsd,
     optimal_discriminators,
@@ -33,6 +34,9 @@ class TestAsDist:
             as_dist([0.5, 0.6])
         with pytest.raises(ValueError):
             as_dist([])
+        for mass in ([math.nan, 1.0], [1.0, math.nan], [1 + 1e-10, 0.0]):
+            with pytest.raises(ValueError, match="must lie in"):
+                as_dist(mass)
 
 
 class TestOptimalT:
@@ -182,6 +186,14 @@ class TestSimplexGrid:
     def test_rejects_nondivisor_step(self):
         with pytest.raises(ValueError):
             simplex_grid(2, 0.3)
+
+    def test_point_cap(self):
+        # k=4 at step 0.05 is the largest grid; k=4 at 0.04 has C(28, 3) points
+        assert simplex_grid(4, 0.05).shape == (MAX_GRID_POINTS, 4) == (1771, 4)
+        with pytest.raises(ValueError, match="gives 3276 points"):
+            simplex_grid(4, 0.04)
+        with pytest.raises(ValueError, match="points"):
+            simplex_grid(2, 1e-7)
 
     @pytest.mark.parametrize("step", [0.0, -0.5, -1.0, math.inf, -math.inf, math.nan])
     def test_rejects_nonpositive_or_nonfinite_step(self, step):

@@ -59,6 +59,8 @@ class TestInit:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
             net_init([2, 1], ["softplus"], 0)
+        with pytest.raises(ValueError, match="unknown activation 'swish'"):
+            single_layer([[1.0]], [0.0], "swish")
 
 
 class TestForward:
@@ -433,6 +435,13 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "nets": {"Gy": rec}}))
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            checkpoint_load(path)
+
+    def test_unknown_activation_names_net_and_activation(self, tmp_path):
+        rec = {"dims": [1, 1], "activations": ["swish"], "weights": [[[1.0]]], "biases": [[0.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "nets": {"Gy": rec}}))
+        with pytest.raises(CheckpointError, match="net 'Gy': unknown activation 'swish'"):
             checkpoint_load(path)
 
     def test_six_net_names_preserved(self, tmp_path):
