@@ -106,12 +106,12 @@ class TestConfig:
         [
             ("split", [0.8, "0.1", 0.1]),
             ("split", [0.5, 10**400, 0.0]),
-            ("split", [10**308, 10**308, 0]),  # the range test runs before the sum
             ("priors", [0.5, None]),
             ("learning_rate", float("nan")),
             ("learning_rates", {"g_p": "fast"}),
             ("learning_rates", {"g_q": 1e-3}),
             ("seed", 10**30),
+            ("split", [10**308, 10**308, 0]),  # the range test runs before the sum
         ],
     )
     def test_bad_field_element_named(self, field, value):
