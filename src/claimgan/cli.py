@@ -155,8 +155,8 @@ def cmd_verify_equilibrium(args) -> int:
         raise ValueError("--pn: needs --pp")
     else:
         k = k or 2  # one-hot masses on a support of 2 unless -k says otherwise
-        p_p = np.eye(k)[0]
-        p_n = np.eye(k)[min(1, k - 1)]
+        p_p, p_n = np.zeros(k), np.zeros(k)
+        p_p[0] = p_n[min(1, k - 1)] = 1.0
     for flag, masses in (("--pp", p_p), ("--pn", p_n)):
         if len(masses) != len(p_p) or not datamod.is_distribution(masses):
             raise ValueError(f"{flag}: masses {masses.tolist()} must be {len(p_p)} values "

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import claimgan.cli  # noqa: F401 - loads every module the tracer patches
-from claimgan import trigan
+from claimgan import metrics, trigan
 from claimgan.nets import make_optimizer
 from claimgan.variants import STEP_FUNCTIONS
 
@@ -47,6 +47,29 @@ def test_every_traced_function_exists():
         fn = getattr(sys.modules[f"claimgan.{module}"], name, None)
         assert callable(fn), f"claimgan.{module}.{name}"
     assert callable(trigan.proposed_step)
+
+
+def test_tracer_times_the_nearest_neighbour_class(monkeypatch):
+    """spans.py binds metrics.cKDTree outside TRACED: it wraps the class as
+    the construction span and its unbound `query` as the query span, on
+    both sides of metrics.KD_TREE_MAX_DIM."""
+    assert isinstance(metrics.cKDTree, type) and callable(metrics.cKDTree.query)
+    rng = np.random.default_rng(0)
+    cases = [(rng.standard_normal((80, dim)), rng.standard_normal((40, dim))) for dim in (2, 64)]
+    untraced = [metrics.similarity_report(real, gen) for real, gen in cases]
+    # install() rebinds module attributes; re-set them here so that
+    # monkeypatch restores every one after the test
+    names = {name for _, name in _traced()} | {"cKDTree"}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("claimgan"):
+            for name in names & set(vars(mod)):
+                monkeypatch.setattr(mod, name, getattr(mod, name))
+    spans = _perfbench("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    assert [metrics.similarity_report(real, gen) for real, gen in cases] == untraced
+    summary = tracer.summary()
+    assert summary[spans.KDTREE_SPAN]["calls"] == summary[spans.KDTREE_QUERY_SPAN]["calls"] == 2
 
 
 # (variant, g_y mode) -> forward, backward, optimizer_step calls in one step

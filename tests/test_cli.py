@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,18 @@ class TestVerifyEquilibrium:
     def test_bad_grid_step_exit_2(self, step, capsys):
         assert main(["verify-equilibrium", f"--grid-step={step}"]) == 2
         assert_one_error_line(capsys.readouterr().err, "grid step")
+
+    def test_large_support_refused_without_quadratic_memory(self, capsys):
+        # the grid cap refuses -k 3000; the one-hot masses built before it
+        # must stay O(k), not np.eye(k)'s 72 MB
+        tracemalloc.start()
+        try:
+            assert main(["verify-equilibrium", "-k", "3000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_one_error_line(capsys.readouterr().err, "points on a support of 3000")
+        assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_bad_support_size_exit_2(self, k, capsys):

@@ -1,6 +1,6 @@
 """Process footprint, each measured in a fresh interpreter: importing the
-package loads no scipy, and training steps do not page-fault their
-temporaries back in from the OS."""
+package, and nearest pairing of 64-D data, load no scipy, and training
+steps do not page-fault their temporaries back in from the OS."""
 
 import json
 import os
@@ -26,6 +26,24 @@ def _run(code: str) -> str:
 def test_importing_every_module_loads_no_scipy():
     out = _run("import sys, claimgan.cli; print('scipy' in sys.modules)")
     assert out.strip() == "False"
+
+
+NEAREST_PAIRING_64D = """
+import sys
+import numpy as np
+from claimgan import metrics
+
+rng = np.random.default_rng(0)
+real, gen = rng.standard_normal((500, 64)), rng.standard_normal((300, 64))
+metrics.similarity_report(real, gen, pairing="nearest")
+print('scipy' in sys.modules)
+"""
+
+
+def test_high_dimensional_nearest_pairing_loads_no_scipy():
+    # the exact scan answers above metrics.KD_TREE_MAX_DIM; importing
+    # scipy.spatial would cost about 30 MB resident in every 64-D eval
+    assert _run(NEAREST_PAIRING_64D).strip() == "False"
 
 
 FAULTS_PER_STEP = """

@@ -56,6 +56,24 @@ GOLDEN = {
         "telemetry.csv": "011d68c4c4cfbb4c49baa8f876daec3d609f077a32a77117aa1d6d286b0cc01e",
         "checkpoint.json": "0e83875801141cd52d3bf5b92888f9bd0d5864a56319549989bea5dbc98a39b9",
     },
+    # 16-D, above metrics.KD_TREE_MAX_DIM: nearest pairing takes the exact
+    # brute-force kernel instead of scipy's tree
+    "dim16-nearest": {
+        "config": {
+            "data": {
+                "kind": "toy-mixture",
+                "n_per_class": 300,
+                "dim": 16,
+                "means": [[-0.5] * 16, [0.5] * 16],
+                "cov_scale": 0.5,
+                "data_seed": 3,
+            },
+            "eval_every": 100,
+            "pairing": "nearest",
+        },
+        "telemetry.csv": "cb2642ba9e0b9acd19db46e9819f1bc0a9d87b26f7f711f6dd16ca8305aa752f",
+        "checkpoint.json": "c0b08c05bf782360afe073400230a4efeacb5010376903b6f2fd782db9522805",
+    },
 }
 
 # sha256 of `claimgan grad-check --instances 2` stdout (17 lines)

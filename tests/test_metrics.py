@@ -76,16 +76,79 @@ class TestAggregate:
             aggregate([])
 
 
+def _scan_block_rows(n_real: int) -> int:
+    return metrics.SCAN_BLOCK_BYTES // (8 * n_real)
+
+
 class TestSimilarityReport:
-    def test_lazy_kd_tree_matches_scipy(self):
+    # (dim, real rows, generated rows); dims 2 and 6 take scipy's tree, the
+    # rest the exact scan (metrics.KD_TREE_MAX_DIM is 10)
+    @pytest.mark.parametrize(
+        "dim, n_real, n_gen",
+        [
+            pytest.param(2, 300, 120, id="2-300x120"),
+            pytest.param(6, 300, 120, id="6-300x120"),
+            pytest.param(11, 300, 120, id="11-300x120"),
+            pytest.param(64, 300, 120, id="64-300x120"),
+            pytest.param(768, 300, 120, id="768-300x120"),
+            # three blocks of scan rows, the last one short
+            pytest.param(64, 2000, 2 * _scan_block_rows(2000) + 7, id="64-partial-block"),
+            pytest.param(2, 1, 50, id="2-single-real-row"),
+            pytest.param(64, 1, 50, id="64-single-real-row"),
+        ],
+    )
+    def test_query_matches_scipy(self, dim, n_real, n_gen):
         from scipy.spatial import cKDTree
 
         rng = np.random.default_rng(8)
-        real = rng.standard_normal((300, 6))
-        gen = rng.standard_normal((120, 6))
+        real = rng.standard_normal((n_real, dim))
+        gen = rng.standard_normal((n_gen, dim))
         dist, idx = metrics.cKDTree(real).query(gen, k=1)
         ref_dist, ref_idx = cKDTree(real).query(gen, k=1)
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_duplicated_real_rows(self, dim):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(9)
+        base = rng.standard_normal((100, dim))
+        real = np.concatenate([base, base, base])
+        gen = rng.standard_normal((150, dim))
+        dist, idx = metrics.cKDTree(real).query(gen, k=1)
+        ref_dist, ref_idx = cKDTree(real).query(gen, k=1)
+        # the index of a tie may differ; the partner and distance may not
+        assert np.array_equal(real[idx], real[ref_idx]) and np.array_equal(dist, ref_dist)
+        if dim > metrics.KD_TREE_MAX_DIM:
+            assert (idx < len(base)).all()  # the scan breaks ties by lowest index
+
+    @pytest.mark.parametrize("dim", [11, 64, 768])
+    def test_near_ties_keep_scipy_distance(self, dim):
+        # each query sits within 1e-15 of the midpoint of two real rows, so
+        # the gemm's rounding alone misranks them: the exact re-rank must
+        # keep every candidate the error bound cannot rule out
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(12)
+        real = rng.standard_normal((200, dim))
+        gen = (real[:100] + real[100:]) / 2 + rng.standard_normal((100, dim)) * 1e-15
+        dist, _ = metrics.cKDTree(real).query(gen, k=1)
+        assert np.array_equal(dist, cKDTree(real).query(gen, k=1)[0])
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_only_nearest_neighbour_queries(self, dim):
+        real = np.random.default_rng(10).standard_normal((20, dim))
+        with pytest.raises(ValueError, match="k=1"):
+            metrics.cKDTree(real).query(real, k=2)
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    @pytest.mark.parametrize("where", ["real", "generated"])
+    def test_non_finite_points_rejected(self, dim, where):
+        real = np.random.default_rng(11).standard_normal((20, dim))
+        gen = real.copy()
+        (real if where == "real" else gen)[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            metrics.cKDTree(real).query(gen, k=1)
 
     def test_identical_sets_nearest(self):
         x = np.random.default_rng(0).standard_normal((50, 4))
