@@ -44,16 +44,24 @@ def _build_dataset(cfg: RunConfig) -> datamod.LabeledDataset:
     return datamod.load_dataset(spec.path)
 
 
-def _run_one(cfg: RunConfig, seed: int, run_id: int):
-    """Train one model; returns (nets dict, telemetry, final test metrics)."""
+def _build_splits(cfg: RunConfig):
+    """(train, val, test) of the config's dataset; both depend only on the
+    config, so a command builds them once for all its runs."""
     dataset = _build_dataset(cfg)
-    train_ds, val_ds, test_ds = datamod.split(dataset, cfg.split, cfg.split_seed)
-    for name, part in (("validation", val_ds), ("test", test_ds)):
+    splits = datamod.split(dataset, cfg.split, cfg.split_seed)
+    for name, part in zip(("validation", "test"), splits[1:]):
         if not len(part):
             raise ValueError(
                 f"split: the {name} split is empty ({len(dataset)} samples, "
                 f"fractions {list(cfg.split)}); use more data or a larger fraction"
             )
+    return splits
+
+
+def _run_one(cfg: RunConfig, splits, seed: int, run_id: int):
+    """Train one model on _build_splits(cfg); returns (nets dict, telemetry,
+    final test metrics)."""
+    train_ds, val_ds, test_ds = splits
     priors = cfg.priors or datamod.class_priors(train_ds)
     tcfg = cfg.train_config(seed=seed)
     if cfg.variant == "baseline":
@@ -93,7 +101,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
-    nets, telemetry, final = _run_one(cfg, cfg.seed, run_id=0)
+    nets, telemetry, final = _run_one(cfg, _build_splits(cfg), cfg.seed, run_id=0)
     checkpoint_save(nets, _out_path(args, "checkpoint.json"))
     metrics.emit(telemetry, _out_path(args, "telemetry.csv"))
     print(
@@ -119,10 +127,11 @@ def cmd_eval(args) -> int:
 
 def cmd_repeat(args) -> int:
     cfg = _config_with_overrides(args)
+    splits = _build_splits(cfg)
     per_run = []
     for i in range(cfg.repeats):
         seed = cfg.seed + i
-        nets, telemetry, final = _run_one(cfg, seed, run_id=i)
+        nets, telemetry, final = _run_one(cfg, splits, seed, run_id=i)
         metrics.emit(telemetry, _out_path(args, f"telemetry_run{i}.csv"))
         checkpoint_save(nets, _out_path(args, f"checkpoint_run{i}.json"))
         per_run.append(final)

@@ -10,8 +10,8 @@ evidence sentence.
 from __future__ import annotations
 
 import json
-import re
 import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,9 @@ _REFUTED_ALIASES = {"refutes", "refuted", "false"}
 # cannot collide with alphanumeric vocabulary
 PAIR_SEPARATOR = " [SEP] "
 
-_TOKEN_RE = re.compile(r"[^0-9a-z]+")
+# maps every byte except 0-9 and a-z to a space; see embed_pairs
+_TOKEN_BYTES = bytes(b if chr(b) in "0123456789abcdefghijklmnopqrstuvwxyz" else 32
+                     for b in range(256))
 
 
 @dataclass
@@ -137,6 +139,8 @@ def load_claims(path) -> CorpusLoadResult:
             else:
                 skipped += 1
                 continue
+            if not isinstance(claim, str):
+                raise ValueError(f"{path}: line {lineno}: claim must be a string")
             if not isinstance(evidence, list) or not all(
                 isinstance(e, str) for e in evidence
             ):
@@ -144,7 +148,7 @@ def load_claims(path) -> CorpusLoadResult:
             if not evidence:
                 rejected += 1
                 continue
-            records.append(ClaimRecord(str(claim), list(evidence), label))
+            records.append(ClaimRecord(claim, list(evidence), label))
     return CorpusLoadResult(records, skipped, rejected)
 
 
@@ -158,33 +162,56 @@ def make_pairs(records: list[ClaimRecord]) -> list[tuple[str, int]]:
     return pairs
 
 
-def _hash_bucket(token: str, dim: int, seed: int) -> int:
-    # crc32 is stable across processes, unlike the builtin hash()
-    return zlib.crc32(f"{seed}:{token}".encode()) % dim
+class _Buckets(dict):
+    """ASCII token -> crc32(f"{seed}:{token}") % dim, filled on first lookup,
+    so each distinct token is hashed once per embed_pairs call."""
+
+    def __init__(self, dim: int, seed: int):
+        # crc32 is stable across processes, unlike the builtin hash(); it can
+        # be continued, so the prefix is hashed once
+        self.dim, self.prefix_crc = dim, zlib.crc32(f"{seed}:".encode())
+
+    def __missing__(self, token: bytes) -> int:
+        bucket = self[token] = zlib.crc32(token, self.prefix_crc) % self.dim
+        return bucket
 
 
 def embed_pairs(pairs: list[tuple[str, int]], dim: int, seed: int) -> LabeledDataset:
     """Hashed bag-of-words embedding, L2-normalized per pair.
 
-    Lowercase, split on non-alphanumerics, each token hashed to one of dim
-    buckets. Texts with no tokens produce a zero vector and are counted.
+    Tokens are the maximal [0-9a-z] runs of the lowercased text; token t goes
+    to bucket crc32(f"{seed}:{t}") % dim. Texts with no tokens produce a zero
+    vector and are counted.
     """
     if dim < 8:
         raise ValueError("embedding dim must be at least 8")
-    features = np.zeros((len(pairs), dim))
-    labels = np.zeros(len(pairs), dtype=np.int64)
-    zero_count = 0
-    for i, (text, label) in enumerate(pairs):
-        tokens = [t for t in _TOKEN_RE.split(text.lower()) if t]
-        for tok in tokens:
-            features[i, _hash_bucket(tok, dim, seed)] += 1.0
-        norm = np.linalg.norm(features[i])
-        if norm > 0:
-            features[i] /= norm
-        else:
-            zero_count += 1
-        labels[i] = label
-    return LabeledDataset(features, labels, zero_vector_count=zero_count)
+    n = len(pairs)
+    buckets = _Buckets(dim, seed)
+    # One bucket id per token, row by row; the tokens themselves are not
+    # kept. 0-9 and a-z are ASCII, so encoding text.lower() with "?" for
+    # each other character and blanking every byte outside 0-9a-z leaves
+    # exactly its maximal [0-9a-z] runs for split().
+    ids = array("q")
+    counts = np.empty(n, dtype=np.intp)
+    for i, (text, _) in enumerate(pairs):
+        start = len(ids)
+        tokens = text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()
+        ids.extend(map(buckets.__getitem__, tokens))
+        counts[i] = len(ids) - start
+    # row * dim + bucket for every token; each id array is freed as soon as
+    # it is used, so the peak stays near the output's size
+    flat = np.repeat(np.arange(0, n * dim, dim), counts)
+    flat += np.frombuffer(ids, dtype=np.int64)
+    del ids
+    features = np.zeros((n, dim))
+    np.add.at(features.reshape(-1), flat, 1.0)
+    del flat
+    # the counts are integers, so the sum of squares is exact in any order
+    # and each norm equals np.linalg.norm of its row
+    norms = np.sqrt(np.einsum("ij,ij->i", features, features))[:, None]
+    np.divide(features, norms, out=features, where=norms > 0)
+    labels = np.fromiter((label for _, label in pairs), dtype=np.int64, count=n)
+    return LabeledDataset(features, labels, zero_vector_count=int(np.count_nonzero(norms == 0)))
 
 
 def class_priors(dataset: LabeledDataset) -> tuple[float, float]:

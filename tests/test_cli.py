@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimgan import trigan
+from claimgan import data, trigan
 from claimgan.cli import main
 from claimgan.config import (
     _DATA_TYPES,
@@ -18,7 +18,7 @@ from claimgan.config import (
     RunConfig,
     parse_config,
 )
-from claimgan.data import load_dataset
+from claimgan.data import embed_pairs, load_dataset
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
 from claimgan.nets import checkpoint_load, checkpoint_save, net_init
@@ -55,6 +55,22 @@ def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def corpus_config(tmp_path, rows, **overrides):
+    """toy_config reading `rows` as a claim corpus, embedded at dim 16."""
+    corpus = tmp_path / "claims.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    cfg = toy_config(**overrides)
+    cfg["data"] = {"kind": "corpus", "path": str(corpus), "embed_dim": 16, "embed_seed": 0}
+    return write_config(tmp_path, cfg)
+
+
+def claim_rows(n):
+    return [
+        {"claim": f"claim {i}", "evidence": [f"ev {i} a", f"ev {i} b"], "label": label}
+        for i, label in enumerate(["SUPPORTS", "REFUTES"] * (n // 2))
+    ]
 
 
 class TestConfig:
@@ -186,19 +202,20 @@ class TestGenData:
         assert len(ds) == 200 and ds.dim == 2
 
     def test_corpus_pipeline(self, tmp_path):
-        corpus = tmp_path / "claims.jsonl"
-        rows = [
-            {"claim": f"claim {i}", "evidence": [f"ev {i} a", f"ev {i} b"], "label": l}
-            for i, l in enumerate(["SUPPORTS", "REFUTES"] * 6)
-        ]
-        corpus.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        cfg = toy_config()
-        cfg["data"] = {"kind": "corpus", "path": str(corpus), "embed_dim": 16, "embed_seed": 0}
-        cfg_path = write_config(tmp_path, cfg)
+        cfg_path = corpus_config(tmp_path, claim_rows(12))
         out = tmp_path / "out"
         assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
         ds = load_dataset(out / "dataset.csv")
         assert len(ds) == 24 and ds.dim == 16  # 12 claims x 2 evidence each
+
+    @pytest.mark.parametrize("claim", [None, 42])
+    def test_nonstring_claim_exit_2(self, claim, tmp_path, capsys):
+        rows = claim_rows(12)
+        rows[3]["claim"] = claim  # json null / a number, not the text "None" / "42"
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", corpus_config(tmp_path, rows), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, "line 4: claim must be a string")
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -391,6 +408,30 @@ class TestRepeat:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "metric,mean,std,runs"
         assert len(summary) == 4
+
+    def test_builds_the_dataset_once_per_command(self, tmp_path, capsys, monkeypatch):
+        embedded = []
+
+        def counting_embed(*args):
+            embedded.append(args)
+            return embed_pairs(*args)
+
+        monkeypatch.setattr(data, "embed_pairs", counting_embed)
+        rows = claim_rows(40) + [{"claim": "c", "evidence": ["e"], "label": "NOT ENOUGH INFO"}]
+        cfg_path = corpus_config(tmp_path, rows, repeats=3)
+        assert main(["repeat", "--config", cfg_path, "--out", str(tmp_path / "rep")]) == 0
+        assert len(embedded) == 1
+        assert capsys.readouterr().out.count("corpus: skipped 1 third-label claims") == 1
+
+    def test_each_run_matches_a_single_train(self, tmp_path, capsys):
+        # the runs share one set of splits, so training must leave them as built
+        cfg_path = write_config(tmp_path, toy_config(repeats=3))
+        assert main(["repeat", "--config", cfg_path, "--out", str(tmp_path / "rep")]) == 0
+        for i in range(3):
+            out = tmp_path / f"train{i}"
+            assert main(["train", "--config", cfg_path, "--out", str(out), "--seed", str(i)]) == 0
+            single = (out / "checkpoint.json").read_bytes()
+            assert (tmp_path / "rep" / f"checkpoint_run{i}.json").read_bytes() == single
 
     def test_runs_differ_by_seed(self, tmp_path):
         cfg_path = write_config(tmp_path, toy_config())

@@ -1,4 +1,6 @@
 import json
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -86,6 +88,18 @@ class TestLoadClaims:
         with pytest.raises(ValueError):
             load_claims(path)
 
+    @pytest.mark.parametrize("claim", [None, 42, ["a"]])
+    def test_nonstring_claim_rejected(self, tmp_path, claim):
+        path = write_corpus(
+            tmp_path,
+            [
+                {"claim": "a", "evidence": ["e"], "label": "SUPPORTS"},
+                {"claim": claim, "evidence": ["e"], "label": "REFUTES"},
+            ],
+        )
+        with pytest.raises(ValueError, match="line 2: claim must be a string"):
+            load_claims(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text(
@@ -109,6 +123,45 @@ class TestMakePairs:
     def test_duplicates_kept(self):
         pairs = make_pairs([ClaimRecord("c", ["e", "e"], 1)])
         assert len(pairs) == 2 and pairs[0] == pairs[1]
+
+
+# texts whose tokens are hard to get right: case, digits, Unicode (including
+# letters that lowercase to ASCII or to two code points), punctuation only,
+# empty, repeated tokens, and many tokens in one bucket
+ADVERSARIAL_PAIRS = [
+    ("The CAT sat on the mat", 1),
+    ("", 0),
+    ("!!! ??? --- ...", 1),
+    ("İstanbul İİ i̇", 0),
+    ("Kelvin k K", 1),
+    ("Straße café naïve ﬃ σας Ωmega", 0),
+    ("abc123 123abc a1b2c3 007", 1),
+    ("tab\tnew\nline\r\nend", 0),
+    ("   ", 1),
+    ("x " * 500, 0),
+    (" ".join(f"w{i}" for i in range(400)), 1),
+    ("claim text [SEP] evidence text", 0),
+    ("日本語 テキスト only", 1),
+    ("émoji 🙂 mixed 🙂🙂 words", 0),
+    ("lone \ud800 surrogate", 1),
+]
+
+
+def _reference_embedding(pairs, dim, seed):
+    """The original one-token-at-a-time embedding, kept as the reference."""
+    features = np.zeros((len(pairs), dim))
+    labels = np.zeros(len(pairs), dtype=np.int64)
+    zero_count = 0
+    for i, (text, label) in enumerate(pairs):
+        for tok in [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]:
+            features[i, zlib.crc32(f"{seed}:{tok}".encode()) % dim] += 1.0
+        norm = np.linalg.norm(features[i])
+        if norm > 0:
+            features[i] /= norm
+        else:
+            zero_count += 1
+        labels[i] = label
+    return LabeledDataset(features, labels, zero_vector_count=zero_count)
 
 
 class TestEmbedPairs:
@@ -142,6 +195,16 @@ class TestEmbedPairs:
     def test_min_dim_enforced(self):
         with pytest.raises(ValueError):
             embed_pairs([("x", 1)], dim=4, seed=0)
+
+    @pytest.mark.parametrize("pairs", [ADVERSARIAL_PAIRS, []], ids=["adversarial", "no-pairs"])
+    @pytest.mark.parametrize("dim", [8, 17, 64, 300])
+    @pytest.mark.parametrize("seed", [0, 123456789])
+    def test_matches_per_token_reference(self, pairs, dim, seed):
+        got, want = embed_pairs(pairs, dim, seed), _reference_embedding(pairs, dim, seed)
+        assert got.features.shape == (len(pairs), dim)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.zero_vector_count == want.zero_vector_count
 
 
 class TestPriors:
@@ -273,3 +336,14 @@ def test_embedding_rows_unit_or_zero(pairs):
     ds = embed_pairs(pairs, dim=16, seed=0)
     norms = np.linalg.norm(ds.features, axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
+
+
+@given(
+    st.lists(st.tuples(st.text(max_size=40), st.integers(0, 1)), max_size=8),
+    st.sampled_from([8, 17, 64]),
+)
+@settings(max_examples=60, deadline=None)
+def test_embedding_matches_reference_on_any_text(pairs, dim):
+    got, want = embed_pairs(pairs, dim, 3), _reference_embedding(pairs, dim, 3)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.zero_vector_count == want.zero_vector_count

@@ -1,15 +1,19 @@
-"""Process footprint, each measured in a fresh interpreter: importing the
-package, and nearest pairing of 64-D data, load no scipy, and training
-steps do not page-fault their temporaries back in from the OS."""
+"""Process footprint: importing the package, and nearest pairing of 64-D
+data, load no scipy, and training steps do not page-fault their
+temporaries back in from the OS, each measured in a fresh interpreter; the
+corpus embedding allocates little beyond its output."""
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import claimgan
+from claimgan import data
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(claimgan.__file__)))
 
@@ -75,3 +79,22 @@ def test_training_steps_do_not_page_fault():
     assert not result["scipy"]
     steady = result["faults"][100:300]  # steps 101-300
     assert sum(steady) / len(steady) < 5, steady
+
+
+def test_corpus_embedding_peaks_below_twice_its_output():
+    # 5000 claim/evidence pairs of 10-24 tokens at dim 64, the benchmark
+    # corpus's shape; keeping every token string, or a count matrix beside
+    # the float output, would go past 2x
+    rng = random.Random(0)
+    words = [f"Word{i}" for i in range(400)]
+    pairs = [
+        (" ".join(rng.choice(words) for _ in range(rng.randrange(10, 25))) + ".", i % 2)
+        for i in range(5000)
+    ]
+    tracemalloc.start()
+    try:
+        ds = data.embed_pairs(pairs, 64, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ds.features.nbytes, peak / ds.features.nbytes

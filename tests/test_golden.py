@@ -1,9 +1,10 @@
-"""Golden telemetry: short seeded toy trainings must reproduce recorded bytes.
+"""Golden telemetry: short seeded trainings must reproduce recorded bytes.
 
-Each case trains the toy model through `claimgan train` (a g_y mode of the
-proposed model, an ablation variant, or the baseline) and compares the
-sha256 of the emitted telemetry CSV and checkpoint against digests recorded
-before any optimisation or refactor of the code that case runs. Refactors and speed-ups must
+Each case trains through `claimgan train` (a g_y mode of the proposed
+model, an ablation variant, or the baseline, on toy data or on a small
+hashed claim corpus) and compares the sha256 of the emitted telemetry CSV
+and checkpoint against digests recorded before any optimisation or
+refactor of the code that case runs. Refactors and speed-ups must
 keep these bytes. A digest may only change in a change that declares a
 behaviour change (new arithmetic, new columns, new defaults) and says why;
 re-record it then, never to make an optimisation pass.
@@ -74,6 +75,16 @@ GOLDEN = {
         "telemetry.csv": "cb2642ba9e0b9acd19db46e9819f1bc0a9d87b26f7f711f6dd16ca8305aa752f",
         "checkpoint.json": "c0b08c05bf782360afe073400230a4efeacb5010376903b6f2fd782db9522805",
     },
+    # the hashed bag-of-words embedding of _corpus_rows(); "path" is filled in
+    # by the test
+    "corpus": {
+        "config": {
+            "data": {"kind": "corpus", "embed_dim": 32, "embed_seed": 11},
+            "eval_every": 100,
+        },
+        "telemetry.csv": "cedb2d6623e84c5dcab3bb4451c216891969435ade7d4dc824706765885de172",
+        "checkpoint.json": "0eb2cb708ac9985b4ce32f4261b4d789e8768282bcfda2e7968804a09ee4a638",
+    },
 }
 
 # sha256 of `claimgan grad-check --instances 2` stdout (17 lines)
@@ -99,11 +110,38 @@ def _toy_config(overrides: dict) -> dict:
     }
 
 
+_SUBJECTS = ["Zarion", "MELEX", "tovar", "İstanbul", "Quiar", "brenum", "Solis"]
+_VERBS = ["founded", "WROTE", "directed", "won", "hosted"]
+
+
+def _corpus_rows() -> list[dict]:
+    """Mixed-case claims with digits; every 10th claim NOT ENOUGH INFO, every
+    13th without evidence, every 9th evidence sentence punctuation only.
+    "İ" lowercases to two code points, "i" and a combining dot."""
+    rows = []
+    for i in range(90):
+        label = "NOT ENOUGH INFO" if i % 10 == 0 else ("Supports", "REFUTES", "supports")[i % 3]
+        claim = f"{_SUBJECTS[i % 7]} {_VERBS[i % 5]} Item{i % 11} in {1900 + i}."
+        evidence = [
+            "?! -- ..." if (i + j) % 9 == 0
+            else f"Record {j}: {_SUBJECTS[(i + j) % 7]} {'confirms' if i % 3 else 'denies'} it."
+            for j in range(i % 3 + 1)
+        ]
+        rows.append({"claim": claim, "evidence": [] if i % 13 == 0 else evidence,
+                     "label": label})
+    return rows
+
+
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
 def test_toy_training_bytes_match_golden(mode, tmp_path, capsys):
     golden = GOLDEN[mode]
+    config = _toy_config(golden["config"])
+    if config["data"]["kind"] == "corpus":
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in _corpus_rows()))
+        config["data"] = {**config["data"], "path": str(corpus)}
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(_toy_config(golden["config"])))
+    cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     for name in ("telemetry.csv", "checkpoint.json"):
