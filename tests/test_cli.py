@@ -155,6 +155,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             RunConfig(data=DataSpec("toy-mixture"), **{field: value})
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                dict(kind="toy-mixture", n_per_class=-1, data_seed=-1, cov_scale=0),
+                "data.n_per_class: must be nonnegative; data.cov_scale: must be positive; "
+                "data.data_seed: must be nonnegative",
+            ),
+            (dict(kind="toy-mixture", dim=3), "data.means: must be two rows of data.dim numbers"),
+            (dict(kind="corpus", embed_dim=3), "data.path: required; data.embed_dim: must be at least 8"),
+            (dict(kind="dataset"), "data.path: required"),
+            (dict(kind="csv", path="x.csv"), "data.kind: unknown kind 'csv'"),
+        ],
+        ids=["toy-ranges", "toy-means", "corpus", "dataset", "unknown-kind"],
+    )
+    def test_direct_construction_checks_data_spec(self, spec, message):
+        with pytest.raises(ConfigError) as e:
+            RunConfig(data=DataSpec(**spec))
+        assert str(e.value) == message
+
     def test_train_config_carries_every_training_setting(self):
         settings = {"optimizer": "sgd", "learning_rates": {"d_p": 0.5}, "pairing": "random"}
         cfg = parse_config(toy_config(**settings))
@@ -215,6 +235,15 @@ class TestGenData:
         out = tmp_path / "out"
         assert main(["gen-data", "--config", corpus_config(tmp_path, rows), "--out", str(out)]) == 2
         assert_one_error_line(capsys.readouterr().err, "line 4: claim must be a string")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [True, None])
+    def test_nonstring_label_exit_2(self, label, tmp_path, capsys):
+        rows = claim_rows(12)
+        rows[5]["label"] = label
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", corpus_config(tmp_path, rows), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, "line 6: label must be a string")
         assert not out.exists()
 
 

@@ -100,6 +100,20 @@ class TestLoadClaims:
         with pytest.raises(ValueError, match="line 2: claim must be a string"):
             load_claims(path)
 
+    # json true/false used to pass as SUPPORTS/REFUTES through str(); the
+    # rest were counted as third-label skips
+    @pytest.mark.parametrize("label", [True, False, 1, None, ["SUPPORTS"]])
+    def test_nonstring_label_rejected(self, tmp_path, label):
+        path = write_corpus(
+            tmp_path,
+            [
+                {"claim": "a", "evidence": ["e"], "label": "SUPPORTS"},
+                {"claim": "b", "evidence": ["e"], "label": label},
+            ],
+        )
+        with pytest.raises(ValueError, match="line 2: label must be a string"):
+            load_claims(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text(

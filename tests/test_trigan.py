@@ -1,11 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from claimgan.data import gaussian_mixture
 from claimgan.gradcheck import _random_instance
-from claimgan.nets import Layer, NeuralNet, forward, max_relative_error, numeric_gradients
+from claimgan.nets import (
+    Layer,
+    NeuralNet,
+    forward,
+    max_relative_error,
+    net_init,
+    numeric_gradients,
+)
 from claimgan.trigan import (
     NET_NAMES,
     TrainConfig,
@@ -138,6 +146,23 @@ class TestModel:
     def test_invalid_priors_rejected(self):
         with pytest.raises(ValueError):
             build_model(3, 2, 0.6, 0.6, seed=0, hidden=8)
+
+    # model of build_model(sample_dim=3, noise_dim=2, ...): one net per case
+    # with a wrong input or output width for its role
+    @pytest.mark.parametrize(
+        "name,dims,message",
+        [
+            ("g_n", [2, 8, 4], "g_n must map noise_dim -> sample_dim"),
+            ("g_p", [3, 8, 3], "g_p must map noise_dim -> sample_dim"),
+            ("d_y", [4, 8, 1], "d_y must map sample_dim -> 1"),
+            ("g_y", [3, 8, 2], "g_y must map sample_dim -> 1"),
+        ],
+    )
+    def test_wrong_shape_net_rejected(self, name, dims, message):
+        m = build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
+        wrong = net_init(dims, ["tanh", "identity"], seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(m, **{name: wrong})
 
     def test_copy_is_deep(self):
         m = build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
