@@ -65,6 +65,14 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending fields."""
 
 
+def _kind_fields(kind) -> set:
+    """The DataSpec fields a config may set for data kind `kind`."""
+    allowed = DATA_KINDS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ConfigError(f"data.kind: unknown kind {kind!r}")
+    return allowed
+
+
 @dataclass
 class DataSpec:
     kind: str  # a key of DATA_KINDS
@@ -76,6 +84,27 @@ class DataSpec:
     path: str = ""
     embed_dim: int = 64
     embed_seed: int = 0
+
+    def __post_init__(self):
+        _kind_fields(self.kind)
+        problems = []
+        if self.kind == "toy-mixture":
+            if self.n_per_class < 0:
+                problems.append("data.n_per_class: must be nonnegative")
+            if self.dim < 1:
+                problems.append("data.dim: must be positive")
+            elif len(self.means) != 2 or any(len(row) != self.dim for row in self.means):
+                problems.append("data.means: must be two rows of data.dim numbers")
+            if self.cov_scale <= 0:
+                problems.append("data.cov_scale: must be positive")
+            if self.data_seed < 0:
+                problems.append("data.data_seed: must be nonnegative")
+        elif not self.path:
+            problems.append("data.path: required")
+        if self.kind == "corpus" and self.embed_dim < 8:
+            problems.append("data.embed_dim: must be at least 8")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 @dataclass
@@ -137,10 +166,7 @@ def _parse_data(obj) -> DataSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("data: must be an object with a 'kind' field")
     kind = obj["kind"]
-    allowed = DATA_KINDS.get(kind) if isinstance(kind, str) else None
-    if allowed is None:
-        raise ConfigError(f"data.kind: unknown kind {kind!r}")
-    unknown = set(obj) - allowed
+    unknown = set(obj) - _kind_fields(kind)
     if unknown:
         raise ConfigError(f"data: unknown keys {sorted(unknown)} for kind {kind!r}")
     problems = _type_problems(obj, _DATA_TYPES, "data.")
@@ -149,26 +175,7 @@ def _parse_data(obj) -> DataSpec:
         problems.append(f"data.means: must be an array of arrays of numbers, got {_shown(means)}")
     if problems:
         raise ConfigError("; ".join(problems))
-    spec = DataSpec(**obj)
-    if kind == "toy-mixture":
-        if spec.n_per_class < 0:
-            problems.append("data.n_per_class: must be nonnegative")
-        if spec.dim < 1:
-            problems.append("data.dim: must be positive")
-        elif len(spec.means) != 2 or any(len(row) != spec.dim for row in spec.means):
-            problems.append("data.means: must be two rows of data.dim numbers")
-        if spec.cov_scale <= 0:
-            problems.append("data.cov_scale: must be positive")
-        if spec.data_seed < 0:
-            problems.append("data.data_seed: must be nonnegative")
-    else:
-        if not spec.path:
-            problems.append("data.path: required")
-        if kind == "corpus" and spec.embed_dim < 8:
-            problems.append("data.embed_dim: must be at least 8")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return spec
+    return DataSpec(**obj)
 
 
 def parse_config(doc: dict) -> RunConfig:

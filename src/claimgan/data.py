@@ -1,8 +1,8 @@
 """Datasets: toy Gaussian mixtures, claim/evidence corpora, hashed embeddings.
 
 A corpus file is line-delimited JSON, one object per line with fields
-`claim` (string), `evidence` (list of strings), `label` (SUPPORTS /
-REFUTES / NOT ENOUGH INFO, case-insensitive). Only supported and refuted
+`claim` (string), `evidence` (list of strings), `label` (string: SUPPORTS
+/ REFUTES / NOT ENOUGH INFO, case-insensitive). Only supported and refuted
 claims are kept; each claim is expanded into one training pair per
 evidence sentence.
 """
@@ -34,8 +34,8 @@ LABEL_SUPPORTED = 1
 _SUPPORTED_ALIASES = {"supports", "supported", "true"}
 _REFUTED_ALIASES = {"refutes", "refuted", "false"}
 
-# joins claim and evidence text in a pair; any fixed token works, this one
-# cannot collide with alphanumeric vocabulary
+# joins claim and evidence text in a pair; it tokenises to "sep", so every pair
+# adds 1 to the bucket that the word "sep" in a claim or evidence also hits
 PAIR_SEPARATOR = " [SEP] "
 
 # maps every byte except 0-9 and a-z to a space; see embed_pairs
@@ -131,7 +131,9 @@ def load_claims(path) -> CorpusLoadResult:
                 label_text = obj["label"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ValueError(f"{path}: malformed record on line {lineno}: {e}") from e
-            norm = str(label_text).strip().lower()
+            if not isinstance(label_text, str):
+                raise ValueError(f"{path}: line {lineno}: label must be a string")
+            norm = label_text.strip().lower()
             if norm in _SUPPORTED_ALIASES:
                 label = LABEL_SUPPORTED
             elif norm in _REFUTED_ALIASES:

@@ -22,7 +22,7 @@ are the two stated readings of its update, and neither trains a classifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -42,7 +42,11 @@ from .nets import (
     optimizer_step,
 )
 
+# The roster, in build_model's seed order. Sample generators map noise to a
+# sample, the rest a sample to one probability; discriminators ascend, the rest descend.
 NET_NAMES = ("g_p", "g_n", "g_y", "d_p", "d_n", "d_y")
+SAMPLE_GENERATORS = ("g_p", "g_n")
+DISCRIMINATORS = ("d_p", "d_n", "d_y")
 
 G_Y_LOSS_MODES = ("alg1-line14", "eq4", "generator-labels")
 
@@ -149,26 +153,24 @@ class TriGanModel:
 
     def __post_init__(self):
         check_priors(self.pi_p, self.pi_n)
-        for name in ("g_p", "g_n"):
-            net = getattr(self, name)
-            if net.input_dim != self.noise_dim or net.output_dim != self.sample_dim:
-                raise ValueError(f"{name} must map noise_dim -> sample_dim")
-        for name in ("g_y", "d_p", "d_n", "d_y"):
-            net = getattr(self, name)
-            if net.input_dim != self.sample_dim or net.output_dim != 1:
-                raise ValueError(f"{name} must map sample_dim -> 1")
+        for name, net in self.nets().items():
+            if name in SAMPLE_GENERATORS:
+                io, shape = (self.noise_dim, self.sample_dim), "noise_dim -> sample_dim"
+            else:
+                io, shape = (self.sample_dim, 1), "sample_dim -> 1"
+            if (net.input_dim, net.output_dim) != io:
+                raise ValueError(f"{name} must map {shape}")
 
     def nets(self) -> dict[str, NeuralNet]:
         return {name: getattr(self, name) for name in NET_NAMES}
 
     def copy(self) -> "TriGanModel":
-        return TriGanModel(
-            **{name: getattr(self, name).copy() for name in NET_NAMES},
-            pi_p=self.pi_p,
-            pi_n=self.pi_n,
-            noise_dim=self.noise_dim,
-            sample_dim=self.sample_dim,
-        )
+        return replace(self, **{name: net.copy() for name, net in self.nets().items()})
+
+
+def judge_net(dim: int, hidden: int, seed: int) -> NeuralNet:
+    """[dim, h, h, 1], relu hidden, sigmoid output: g_y, the discriminators, the baseline."""
+    return net_init([dim, hidden, hidden, 1], ["relu", "relu", "sigmoid"], seed)
 
 
 def build_model(
@@ -179,28 +181,17 @@ def build_model(
     seed: int,
     hidden: int = 64,
 ) -> TriGanModel:
-    """Default shapes: generators [noise, h, h, sample] with tanh hidden and
-    identity output; g_y and the discriminators [sample, h, h, 1] with relu
-    hidden and sigmoid output."""
-    gen_dims = [noise_dim, hidden, hidden, sample_dim]
-    gen_acts = ["tanh", "tanh", "identity"]
-    disc_dims = [sample_dim, hidden, hidden, 1]
-    disc_acts = ["relu", "relu", "sigmoid"]
-    ss = np.random.SeedSequence(seed).spawn(len(NET_NAMES))
-    def sub(i):
-        return int(ss[i].generate_state(1)[0])
-    return TriGanModel(
-        g_p=net_init(gen_dims, gen_acts, sub(0)),
-        g_n=net_init(gen_dims, gen_acts, sub(1)),
-        g_y=net_init(disc_dims, disc_acts, sub(2)),
-        d_p=net_init(disc_dims, disc_acts, sub(3)),
-        d_n=net_init(disc_dims, disc_acts, sub(4)),
-        d_y=net_init(disc_dims, disc_acts, sub(5)),
-        pi_p=pi_p,
-        pi_n=pi_n,
-        noise_dim=noise_dim,
-        sample_dim=sample_dim,
-    )
+    """Sample generators [noise, h, h, sample], tanh hidden, identity output; the
+    rest judge_net(sample_dim, hidden, .). NET_NAMES[i] seeds from SeedSequence(seed) child i."""
+    nets = {}
+    for name, child in zip(NET_NAMES, np.random.SeedSequence(seed).spawn(len(NET_NAMES))):
+        net_seed = int(child.generate_state(1)[0])
+        if name in SAMPLE_GENERATORS:
+            dims = [noise_dim, hidden, hidden, sample_dim]
+            nets[name] = net_init(dims, ["tanh", "tanh", "identity"], net_seed)
+        else:
+            nets[name] = judge_net(sample_dim, hidden, net_seed)
+    return TriGanModel(**nets, pi_p=pi_p, pi_n=pi_n, noise_dim=noise_dim, sample_dim=sample_dim)
 
 
 @dataclass
@@ -357,21 +348,21 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
 
 # --- one training iteration, as a table of updates ---------------------------
 #
-# A row (net, direction, rule, slot): rule(model, cfg, batches) returns
-# (grads, value), the net steps in that direction, and the value goes to
+# A row (net, rule, slot): rule(model, cfg, batches) returns (grads,
+# value), the net steps in its roster direction, and the value goes to
 # telemetry slot 0/1/2 (loss_pos/loss_neg/loss_label) or nowhere (None).
 # Rules call the update rules through module globals, so a rebinding (a
 # tracer, a test double) sees every call.
 
-D_Y_ROW = ("d_y", "ascend", lambda m, cfg, b: d_y_step_grads(m, b.x, b.z), 2)
-G_Y_ROW = ("g_y", "descend", lambda m, cfg, b: g_y_step_grads(m, b.z2, cfg.g_y_loss_mode), None)
+D_Y_ROW = ("d_y", lambda m, cfg, b: d_y_step_grads(m, b.x, b.z), 2)
+G_Y_ROW = ("g_y", lambda m, cfg, b: g_y_step_grads(m, b.z2, cfg.g_y_loss_mode), None)
 
 PROPOSED_STEPS = (
-    ("d_p", "ascend", lambda m, cfg, b: d_p_step_grads(m, b.x_p, b.z), 0),
-    ("d_n", "ascend", lambda m, cfg, b: d_n_step_grads(m, b.x_n, b.z), 1),
+    ("d_p", lambda m, cfg, b: d_p_step_grads(m, b.x_p, b.z), 0),
+    ("d_n", lambda m, cfg, b: d_n_step_grads(m, b.x_n, b.z), 1),
     D_Y_ROW,
-    ("g_p", "descend", lambda m, cfg, b: g_p_step_grads(m, b.z2), None),
-    ("g_n", "descend", lambda m, cfg, b: g_n_step_grads(m, b.z2), None),
+    ("g_p", lambda m, cfg, b: g_p_step_grads(m, b.z2), None),
+    ("g_n", lambda m, cfg, b: g_n_step_grads(m, b.z2), None),
     G_Y_ROW,
 )
 
@@ -382,8 +373,9 @@ def run_steps(table, model, opts, cfg, x_p, x_n, x, z, z2):
     loss_neg, loss_label)."""
     batches = SimpleNamespace(x_p=x_p, x_n=x_n, x=x, z=z, z2=z2)
     losses = [None, None, None]
-    for name, direction, rule, slot in table:
+    for name, rule, slot in table:
         grads, value = rule(model, cfg, batches)
+        direction = "ascend" if name in DISCRIMINATORS else "descend"
         optimizer_step(getattr(model, name), grads, opts[name], direction)
         if slot is not None:
             losses[slot] = value

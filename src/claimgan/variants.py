@@ -113,11 +113,14 @@ def symmetric_d_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     return trigan.bracket_grads(model.d_p, model.g_p, x_p, z)
 
 
+def _saturating_grads(gen: NeuralNet, disc: NeuralNet, real, z) -> tuple[ParamGrads, float]:
+    """gen's gradients of gan_objective(disc(real), disc(gen(z))), which it minimizes."""
+    grads, (d_fake,) = trigan.generator_grads(gen, z, [(disc, trigan.log1m_grad())])
+    return grads, gan_objective(forward(disc, real)[0], d_fake)
+
+
 def symmetric_g_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
-    # the generator minimizes the bracket itself (saturating form)
-    judges = [(model.d_p, trigan.log1m_grad())]
-    grads, (d_fake,) = trigan.generator_grads(model.g_p, z, judges)
-    return grads, gan_objective(forward(model.d_p, x_p)[0], d_fake)
+    return _saturating_grads(model.g_p, model.d_p, x_p, z)
 
 
 def symmetric_d_n_grads(
@@ -133,29 +136,27 @@ def symmetric_g_n_grads(
 ) -> tuple[ParamGrads, float]:
     if mode == "as-printed":
         return np.zeros_like(model.g_n.flat), symmetric_losses(model, x_p, x_n, z, mode)[1]
-    judges = [(model.d_n, trigan.log1m_grad())]
-    grads, (d_fake,) = trigan.generator_grads(model.g_n, z, judges)
-    return grads, gan_objective(forward(model.d_n, x_n)[0], d_fake)
+    return _saturating_grads(model.g_n, model.d_n, x_n, z)
 
 
 # --- trainer steps: tables like trigan.PROPOSED_STEPS, same d_y and g_y rows --
 
 INVERTED_STEPS = (
-    ("d_n", "ascend", lambda m, cfg, b: inverted_d_n_grads(m, b.x_p, b.z), 1),
+    ("d_n", lambda m, cfg, b: inverted_d_n_grads(m, b.x_p, b.z), 1),
     trigan.D_Y_ROW,
-    ("g_p", "descend", lambda m, cfg, b: inverted_g_p_grads(m, b.x_p, b.z2), None),
-    ("g_n", "descend", lambda m, cfg, b: inverted_g_n_grads(m, b.x_p, b.z2), 0),
+    ("g_p", lambda m, cfg, b: inverted_g_p_grads(m, b.x_p, b.z2), None),
+    ("g_n", lambda m, cfg, b: inverted_g_n_grads(m, b.x_p, b.z2), 0),
     trigan.G_Y_ROW,
 )
 
 
 def _symmetric_steps(mode: str) -> tuple:
     return (
-        ("d_p", "ascend", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), 0),
-        ("d_n", "ascend", lambda m, cfg, b: symmetric_d_n_grads(m, b.x_p, b.x_n, b.z, mode), 1),
+        ("d_p", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), 0),
+        ("d_n", lambda m, cfg, b: symmetric_d_n_grads(m, b.x_p, b.x_n, b.z, mode), 1),
         trigan.D_Y_ROW,
-        ("g_p", "descend", lambda m, cfg, b: symmetric_g_p_grads(m, b.x_p, b.z2), None),
-        ("g_n", "descend", lambda m, cfg, b: symmetric_g_n_grads(m, b.x_p, b.x_n, b.z2, mode), None),
+        ("g_p", lambda m, cfg, b: symmetric_g_p_grads(m, b.x_p, b.z2), None),
+        ("g_n", lambda m, cfg, b: symmetric_g_n_grads(m, b.x_p, b.x_n, b.z2, mode), None),
         trigan.G_Y_ROW,
     )
 
@@ -184,11 +185,8 @@ def baseline_train(
     The cross-entropy value is recorded in the loss_label column."""
     class_priors(data)  # rejects empty / single-class data
     rng = np.random.default_rng(cfg.seed)
-    net = net_init(
-        [data.dim, hidden, hidden, 1],
-        ["relu", "relu", "sigmoid"],
-        int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]),
-    )
+    net_seed = int(np.random.SeedSequence(cfg.seed).generate_state(1)[0])
+    net = trigan.judge_net(data.dim, hidden, net_seed)
     if cfg.iterations == 0:
         return net, []
     keep_heap_for_steps()

@@ -9,7 +9,7 @@ workload's set-up is run here as the benchmark child runs it.
 
 The counts below are the work of one training step at the time they were
 recorded. Skipping the zero-gradient g_y update and reusing generator
-outputs (ROADMAP item 2) change them on purpose; that change updates this
+outputs (ROADMAP item 5) change them on purpose; that change updates this
 table in the same commit as the benchmark's own expected counts.
 """
 
