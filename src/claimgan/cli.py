@@ -115,6 +115,8 @@ def cmd_eval(args) -> int:
     nets = checkpoint_load(args.checkpoint)
     if "Gy" not in nets:
         raise ValueError(f"{args.checkpoint}: checkpoint has no Gy net")
+    if nets["Gy"].output_dim != 1:
+        raise ValueError(f"{args.checkpoint}: Gy must map sample_dim -> 1")
     dataset = datamod.load_dataset(args.data)
     _, preds = trigan.predict(nets["Gy"], dataset.features)
     p, r, f1, degenerate = metrics.precision_recall_f1(preds, dataset.labels)

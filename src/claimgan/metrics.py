@@ -232,11 +232,13 @@ def similarity_report(
         partners = real[nn_idx]
     else:
         partners = real[rng.integers(0, real.shape[0], size=n)]
-    diff = gen - partners
-    euc = np.sqrt((diff**2).sum(axis=1))
-    man = np.abs(diff).sum(axis=1)
     norms = np.linalg.norm(gen, axis=1) * np.linalg.norm(partners, axis=1)
     cos = np.where(norms > 0, (gen * partners).sum(axis=1) / np.where(norms > 0, norms, 1.0), 1.0)
+    # gen is a private copy (fancy indexing), so the difference may overwrite it
+    diff = np.subtract(gen, partners, out=gen)
+    del partners
+    man = np.abs(diff).sum(axis=1)
+    euc = np.sqrt(np.square(diff, out=diff).sum(axis=1))
     return float(cos.mean()), float(man.mean()), float(euc.mean())
 
 

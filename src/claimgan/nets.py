@@ -34,16 +34,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(s, PROB_EPS), 1.0 - PROB_EPS)
 
 
-# activation name -> (activation of z, its derivative from z and the output)
+# activation name -> (activation of z, done in place where numpy can; its
+# derivative from the output alone). `backward` reads no pre-activation, so
+# `forward` keeps none.
 ACTIVATIONS = {
-    # the derivative is a float mask: multiplying by a bool mask is ~10% slower
+    # out > 0 exactly where z > 0, for NaN and signed zeros too. The
+    # derivative is a float mask: multiplying by a bool mask is ~10% slower
     # (mixed-dtype loop)
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, out: (z > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda z, out: 1.0 - out * out),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda out: (out > 0).astype(np.float64)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda out: 1.0 - out * out),
     # out is the clamped value; inside the clamp the derivative is exact, at
     # the clamp it is a vanishing surrogate.
-    "sigmoid": (_sigmoid, lambda z, out: out * (1.0 - out)),
-    "identity": (lambda z: z, lambda z, out: np.ones_like(z)),
+    "sigmoid": (_sigmoid, lambda out: out * (1.0 - out)),
+    "identity": (lambda z: z, np.ones_like),
 }
 
 
@@ -152,8 +155,8 @@ def keep_heap_for_steps() -> None:
 def forward(net: NeuralNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the net on a (m, input_dim) batch.
 
-    Returns (outputs, cache); the cache holds per-layer inputs and
-    post-activation values for `backward`.
+    Returns (outputs, cache). cache[k] is layer k's (input, output): all that
+    `backward` reads. cache[0][0] is the batch itself, which is never written.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
@@ -165,9 +168,10 @@ def forward(net: NeuralNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
     cache = []
     h = batch
     for layer in net.layers:
-        z = h @ layer.weight.T + layer.bias
+        z = h @ layer.weight.T  # a fresh array, so activating in place is safe
+        z += layer.bias
         out = ACTIVATIONS[layer.activation][0](z)
-        cache.append((h, z, out))
+        cache.append((h, out))
         h = out
     return h, cache
 
@@ -189,17 +193,17 @@ def backward(
     input_grad=False skips the first layer's product with its weight.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
-    if output_grad.shape != cache[-1][2].shape:
+    if output_grad.shape != cache[-1][1].shape:
         raise ValueError(
-            f"output_grad shape {output_grad.shape} != output shape {cache[-1][2].shape}"
+            f"output_grad shape {output_grad.shape} != output shape {cache[-1][1].shape}"
         )
     grads = np.empty_like(net.flat) if param_grads else None
     views = net.unflatten(grads) if param_grads else None
     delta = output_grad
     for k in range(len(net.layers) - 1, -1, -1):
-        h_in, z, out = cache[k]
+        h_in, out = cache[k]
         layer = net.layers[k]
-        dz = delta * ACTIVATIONS[layer.activation][1](z, out)
+        dz = delta * ACTIVATIONS[layer.activation][1](out)
         if param_grads:
             w_view, b_view = views[k]
             np.matmul(dz.T, h_in, out=w_view)
@@ -317,6 +321,8 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
         raise CheckpointError(
             f"checkpoint version {doc['version']} unsupported (expected {CHECKPOINT_VERSION})"
         )
+    if not isinstance(doc.get("nets"), dict):
+        raise CheckpointError("malformed checkpoint: nets must be an object")
     nets = {}
     try:
         for name, rec in doc["nets"].items():
@@ -328,6 +334,8 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
                 b = np.array(rec["biases"][k], dtype=np.float64)
                 if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
                     raise CheckpointError(f"net {name!r}: parameter shape mismatch")
+                if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                    raise CheckpointError(f"net {name!r}: non-finite parameters")
                 layers.append(Layer(w, b, act))
             try:
                 nets[name] = NeuralNet(layers)

@@ -438,7 +438,7 @@ def train(
                 rec.precision, rec.recall, rec.f1 = p, r, f1
             n_gen = min(cfg.similarity_sample_cap, pos.shape[0])
             z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
-            gen_pos, _ = forward(model.g_p, z_eval)
+            gen_pos = forward(model.g_p, z_eval)[0]  # frees the cache before pairing
             rec.cos, rec.man, rec.euc = similarity_report(
                 pos,
                 gen_pos,

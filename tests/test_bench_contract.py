@@ -23,7 +23,7 @@ import pytest
 
 import claimgan.cli  # noqa: F401 - loads every module the tracer patches
 from claimgan import metrics, trigan
-from claimgan.nets import make_optimizer
+from claimgan.nets import forward, make_optimizer, net_init
 from claimgan.variants import STEP_FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +70,18 @@ def test_tracer_times_the_nearest_neighbour_class(monkeypatch):
     assert [metrics.similarity_report(real, gen) for real, gen in cases] == untraced
     summary = tracer.summary()
     assert summary[spans.KDTREE_SPAN]["calls"] == summary[spans.KDTREE_QUERY_SPAN]["calls"] == 2
+
+
+def test_backward_work_reads_the_batch_from_the_cache():
+    """spans.py counts backward work as 4 * len(cache[0][0]) * weights, so
+    the cache's first entry must start with the input batch; a layout that
+    moved it would silently zero or rescale nets.matmul_flops_per_step."""
+    net = net_init([3, 5, 4, 1], ["relu", "tanh", "sigmoid"], 0)
+    x = np.random.default_rng(0).standard_normal((7, 3))
+    out, cache = forward(net, x)
+    assert cache[0][0] is x
+    weights = 3 * 5 + 5 * 4 + 4 * 1
+    assert _perfbench("spans")._backward_work(net, cache, np.ones_like(out)) == 4 * 7 * weights
 
 
 # (variant, g_y mode) -> forward, backward, optimizer_step calls in one step

@@ -51,6 +51,12 @@ def assert_one_error_line(err: str, needle: str):
     assert needle in err
 
 
+def _gy(outputs=1, weight=0.5):
+    """A one-layer Gy record for 2-D data, as checkpoint_save writes it."""
+    return {"dims": [2, outputs], "activations": ["sigmoid"],
+            "weights": [[[weight, weight]] * outputs], "biases": [[0.0] * outputs]}
+
+
 def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -361,6 +367,30 @@ class TestTrainEval:
                 "--out", str(out)]
         assert main(argv) == 2
         assert_one_error_line(capsys.readouterr().err, "has no Gy net")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "nets, needle",
+        [
+            ([], "nets must be an object"),
+            (None, "nets must be an object"),
+            ({"Gy": _gy(weight=float("nan"))}, "net 'Gy': non-finite parameters"),
+            ({"Gy": _gy(weight=float("inf"))}, "net 'Gy': non-finite parameters"),
+            ({"Gy": _gy(outputs=2)}, "Gy must map sample_dim -> 1"),
+        ],
+        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy"],
+    )
+    def test_eval_bad_checkpoint_exit_2(self, nets, needle, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"version": 1, "nets": nets}))  # NaN, Infinity as JSON writes them
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen-data", "--config", write_config(tmp_path, toy_config()),
+                     "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "dataset.csv"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, needle)
         assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 """Process footprint: importing the package, and nearest pairing of 64-D
 data, load no scipy, and training steps do not page-fault their
 temporaries back in from the OS, each measured in a fresh interpreter; the
-corpus embedding allocates little beyond its output."""
+corpus embedding, a generator's forward pass, the similarity report and an
+evaluating training step allocate little beyond their inputs and outputs."""
 
 import json
 import os
@@ -10,10 +11,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import claimgan
-from claimgan import data
+from claimgan import data, metrics, trigan
+from claimgan.nets import forward
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(claimgan.__file__)))
 
@@ -25,6 +28,17 @@ def _run(code: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def _traced_peak(fn):
+    """(fn(), the peak bytes Python allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def test_importing_every_module_loads_no_scipy():
@@ -91,10 +105,42 @@ def test_corpus_embedding_peaks_below_twice_its_output():
         (" ".join(rng.choice(words) for _ in range(rng.randrange(10, 25))) + ".", i % 2)
         for i in range(5000)
     ]
-    tracemalloc.start()
-    try:
-        ds = data.embed_pairs(pairs, 64, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ds, peak = _traced_peak(lambda: data.embed_pairs(pairs, 64, 0))
     assert peak <= 2 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+# the benchmark corpus's shapes: 64-D samples, noise 8, hidden 64, and an
+# eval that generates one sample per real positive (about 3000)
+CORPUS_MODEL = dict(sample_dim=64, noise_dim=8, pi_p=0.5, pi_n=0.5, seed=0, hidden=64)
+
+
+def test_generator_forward_peaks_below_three_and_a_half_outputs():
+    # the output and the two hidden layers' outputs, one 3000 x 64 array
+    # each; caching pre-activations beside them, or activating into new
+    # arrays, would go to about 6x
+    g_p = trigan.build_model(**CORPUS_MODEL).g_p
+    z = np.random.default_rng(0).standard_normal((3000, 8))
+    (out, _), peak = _traced_peak(lambda: forward(g_p, z))
+    assert peak <= 3.5 * out.nbytes, peak / out.nbytes
+
+
+def test_similarity_report_peaks_below_three_and_a_half_generated_arrays():
+    # the sampled copy, its partners, one row-wise temporary and the scan's
+    # 1 MiB block; a separate difference array and its square would go to
+    # about 4x
+    rng = np.random.default_rng(1)
+    real, gen = rng.standard_normal((3000, 64)), rng.standard_normal((3000, 64))
+    _, peak = _traced_peak(lambda: metrics.similarity_report(real, gen))
+    assert peak <= 3.5 * gen.nbytes, peak / gen.nbytes
+
+
+def test_evaluating_training_step_peaks_below_nine_positive_sets():
+    # positives and negatives are copied out of the data, then the eval
+    # generates 3000 samples and pairs them; keeping the generator's forward
+    # cache alive through the pairing would go to about 12x
+    ds = data.gaussian_mixture(3000, 64, [[-1.0] * 64, [1.0] * 64], 1.0, 0)
+    model = trigan.build_model(**CORPUS_MODEL)
+    cfg = trigan.TrainConfig(iterations=1, batch_size=64, seed=0, eval_every=1)
+    _, peak = _traced_peak(lambda: trigan.train(model, ds, cfg))
+    positives = ds.positives().nbytes
+    assert peak <= 9 * positives, peak / positives

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from claimgan.nets import (
+    ACTIVATIONS,
     CheckpointError,
     Layer,
     NeuralNet,
@@ -100,6 +101,25 @@ class TestForward:
         a, _ = forward(net, x)
         b, _ = forward(net, x)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid", "identity"])
+    def test_forward_never_changes_its_input_batch(self, act):
+        # relu and tanh activate in place; with an identity weight their
+        # input has the batch's values, so writing into the batch would show
+        net = single_layer(np.eye(3), np.zeros(3), act)
+        x = np.array([[-1.5, 0.0, 2.0], [-0.0, 0.5, -3.0]])
+        before = x.copy()
+        out, _ = forward(net, x)
+        assert np.array_equal(x, before) and not np.shares_memory(out, x)
+
+    def test_relu_derivative_from_the_output_equals_the_one_from_z(self):
+        relu, derivative = ACTIVATIONS["relu"]
+        tiny = np.finfo(np.float64).smallest_subnormal
+        z = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 1.0, -1.0])
+        from_z = (z > 0).astype(np.float64)
+        out = relu(z.copy())
+        assert np.array_equal(derivative(out), from_z)
+        assert np.array_equal(out, np.maximum(z, 0.0), equal_nan=True)
 
 
 class TestBackward:
@@ -364,7 +384,8 @@ class TestFlatStorage:
         expected = [None] * len(net.layers)
         delta = g
         for k in range(len(net.layers) - 1, -1, -1):
-            h_in, z, o = cache[k]
+            h_in, o = cache[k]
+            z = h_in @ net.layers[k].weight.T + net.layers[k].bias
             dz = delta * act_grad[net.layers[k].activation](z, o)
             expected[k] = (dz.T @ h_in, dz.sum(axis=0))
             delta = dz @ net.layers[k].weight
@@ -435,6 +456,23 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "nets": {"Gy": rec}}))
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("nets", [[], None, "Gy", 3], ids=["list", "null", "string", "number"])
+    def test_nets_not_an_object_rejected(self, tmp_path, nets):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "nets": nets}))
+        with pytest.raises(CheckpointError, match="nets must be an object"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["weights", "biases"])
+    def test_non_finite_parameters_rejected_naming_the_net(self, tmp_path, bad, where):
+        rec = {"dims": [1, 1], "activations": ["sigmoid"], "weights": [[[1.0]]], "biases": [[0.0]]}
+        rec[where] = [[[bad]]] if where == "weights" else [[bad]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "nets": {"Gy": rec}}))  # NaN, Infinity
+        with pytest.raises(CheckpointError, match="net 'Gy': non-finite parameters"):
             checkpoint_load(path)
 
     def test_unknown_activation_names_net_and_activation(self, tmp_path):
