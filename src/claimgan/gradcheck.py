@@ -38,16 +38,6 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
     """
     out = lambda net, batch: forward(net, batch)[0]
 
-    def d_p_scalar():
-        return model.pi_p * trigan.gan_objective(
-            out(model.d_p, x_p), out(model.d_p, out(model.g_p, z))
-        )
-
-    def d_n_scalar():
-        return model.pi_n * trigan.gan_objective(
-            out(model.d_n, x_n), out(model.d_n, out(model.g_n, z))
-        )
-
     def d_y_scalar():
         fp, fn_ = out(model.g_p, z), out(model.g_n, z)
         return trigan.d_y_objective(
@@ -72,17 +62,16 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
             out(model.d_y, fp), out(model.d_y, fn_), model.pi_p, model.pi_n, mode, **kwargs
         )
 
-    def inv_scalar(key):
-        return variants.inverted_losses(model, x_p, z)[key]
-
     def sym_scalar(mode, which):
         return variants.symmetric_losses(model, x_p, x_n, z, mode)[which]
 
     return [
         ("d_p", model.d_p,
-         lambda: trigan.d_p_step_grads(model, x_p, z)[0], d_p_scalar),
+         lambda: trigan.d_p_step_grads(model, x_p, z)[0],
+         lambda: model.pi_p * trigan.bracket_value(model.d_p, model.g_p, x_p, z)),
         ("d_n", model.d_n,
-         lambda: trigan.d_n_step_grads(model, x_n, z)[0], d_n_scalar),
+         lambda: trigan.d_n_step_grads(model, x_n, z)[0],
+         lambda: model.pi_n * trigan.bracket_value(model.d_n, model.g_n, x_n, z)),
         ("d_y", model.d_y,
          lambda: trigan.d_y_step_grads(model, x, z)[0], d_y_scalar),
         ("g_p", model.g_p,
@@ -97,13 +86,13 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
          lambda: g_y_scalar("eq4")),
         ("inverted:d_n", model.d_n,
          lambda: variants.inverted_d_n_grads(model, x_p, z)[0],
-         lambda: inv_scalar("d_n")),
+         lambda: trigan.bracket_value(model.d_n, model.g_n, x_p, z)),
         ("inverted:g_p", model.g_p,
          lambda: variants.inverted_g_p_grads(model, x_p, z)[0],
-         lambda: inv_scalar("g_p")),
+         lambda: -trigan.bracket_value(model.d_n, model.g_n, x_p, z)),
         ("inverted:g_n", model.g_n,
          lambda: variants.inverted_g_n_grads(model, x_p, z)[0],
-         lambda: inv_scalar("g_n")),
+         lambda: trigan.bracket_value(model.d_p, model.g_p, x_p, z)),
         ("symmetric:d_p", model.d_p,
          lambda: variants.symmetric_d_p_grads(model, x_p, z)[0],
          lambda: sym_scalar("as-printed", 0)),

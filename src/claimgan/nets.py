@@ -317,9 +317,10 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
         raise CheckpointError(f"malformed checkpoint: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
-    if doc["version"] != CHECKPOINT_VERSION:
+    version = doc["version"]  # JSON true and 1.0 compare equal to 1
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {doc['version']} unsupported (expected {CHECKPOINT_VERSION})"
+            f"checkpoint version {json.dumps(version)} unsupported (expected {CHECKPOINT_VERSION})"
         )
     if not isinstance(doc.get("nets"), dict):
         raise CheckpointError("malformed checkpoint: nets must be an object")

@@ -289,6 +289,11 @@ def bracket_grads(disc: NeuralNet, gen: NeuralNet, real, z) -> tuple[ParamGrads,
     return grads, gan_objective(*outs)
 
 
+def bracket_value(disc: NeuralNet, gen: NeuralNet, real, z) -> float:
+    """gan_objective(disc(real), disc(gen(z))): bracket_grads' value, forward only."""
+    return gan_objective(forward(disc, real)[0], forward(disc, forward(gen, z)[0])[0])
+
+
 # --- per-update gradient rules -------------------------------------------
 #
 # Each returns (flat grads for the net being updated, objective/loss value).
@@ -348,18 +353,18 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
 
 # --- one training iteration, as a table of updates ---------------------------
 #
-# A row (net, rule, slot): rule(model, cfg, batches) returns (grads,
-# value), the net steps in its roster direction, and the value goes to
-# telemetry slot 0/1/2 (loss_pos/loss_neg/loss_label) or nowhere (None).
+# A row (net, rule, column): rule(model, cfg, batches) returns (grads,
+# value), the net steps in its roster direction, and the value fills the
+# MetricsRecord field `column`, or nothing if it is None.
 # Rules call the update rules through module globals, so a rebinding (a
 # tracer, a test double) sees every call.
 
-D_Y_ROW = ("d_y", lambda m, cfg, b: d_y_step_grads(m, b.x, b.z), 2)
+D_Y_ROW = ("d_y", lambda m, cfg, b: d_y_step_grads(m, b.x, b.z), "loss_label")
 G_Y_ROW = ("g_y", lambda m, cfg, b: g_y_step_grads(m, b.z2, cfg.g_y_loss_mode), None)
 
 PROPOSED_STEPS = (
-    ("d_p", lambda m, cfg, b: d_p_step_grads(m, b.x_p, b.z), 0),
-    ("d_n", lambda m, cfg, b: d_n_step_grads(m, b.x_n, b.z), 1),
+    ("d_p", lambda m, cfg, b: d_p_step_grads(m, b.x_p, b.z), "loss_pos"),
+    ("d_n", lambda m, cfg, b: d_n_step_grads(m, b.x_n, b.z), "loss_neg"),
     D_Y_ROW,
     ("g_p", lambda m, cfg, b: g_p_step_grads(m, b.z2), None),
     ("g_n", lambda m, cfg, b: g_n_step_grads(m, b.z2), None),
@@ -369,17 +374,16 @@ PROPOSED_STEPS = (
 
 def run_steps(table, model, opts, cfg, x_p, x_n, x, z, z2):
     """One training iteration: the rows of `table` in order, discriminators
-    on noise z and generators on fresh noise z2. Returns (loss_pos,
-    loss_neg, loss_label)."""
+    on noise z and generators on fresh noise z2. Returns {column: value}."""
     batches = SimpleNamespace(x_p=x_p, x_n=x_n, x=x, z=z, z2=z2)
-    losses = [None, None, None]
-    for name, rule, slot in table:
+    losses = {}
+    for name, rule, column in table:
         grads, value = rule(model, cfg, batches)
         direction = "ascend" if name in DISCRIMINATORS else "descend"
         optimizer_step(getattr(model, name), grads, opts[name], direction)
-        if slot is not None:
-            losses[slot] = value
-    return tuple(losses)
+        if column is not None:
+            losses[column] = value
+    return losses
 
 
 proposed_step = partial(run_steps, PROPOSED_STEPS)
@@ -426,10 +430,7 @@ def train(
         x_n = neg[rng.integers(0, neg.shape[0], m)]
         x = allx[rng.integers(0, allx.shape[0], m)]
         z2 = rng.standard_normal((m, model.noise_dim))
-        loss_pos, loss_neg, loss_label = step_fn(model, opts, cfg, x_p, x_n, x, z, z2)
-        rec = MetricsRecord(
-            run=run_id, iter=it, loss_pos=loss_pos, loss_neg=loss_neg, loss_label=loss_label
-        )
+        rec = MetricsRecord(run=run_id, iter=it, **step_fn(model, opts, cfg, x_p, x_n, x, z, z2))
         if cfg.eval_every and it % cfg.eval_every == 0:
             eval_rng = _eval_seed(cfg.seed, run_id, it)
             if val_data is not None and len(val_data):

@@ -26,7 +26,6 @@ from .metrics import MetricsRecord, precision_recall_f1
 from .nets import (
     NeuralNet,
     ParamGrads,
-    backward,
     forward,
     keep_heap_for_steps,
     make_optimizer,
@@ -40,21 +39,6 @@ SYMMETRIC_MODES = ("as-printed", "intended")
 
 
 # --- printed value functions, on probability vectors ----------------------
-
-
-def inverted_losses(model: TriGanModel, x_p, z) -> dict[str, float]:
-    """Per-net scalars of the three exchanged equations on real batches: the
-    negative discriminator is trained against *positive* data, the positive
-    generator's objective is the negated exchanged form, and the third
-    equation is the standard positive-pair expression."""
-    fake_p, _ = forward(model.g_p, z)
-    fake_n, _ = forward(model.g_n, z)
-    dn_pos, _ = forward(model.d_n, x_p)
-    dn_fake, _ = forward(model.d_n, fake_n)
-    dp_pos, _ = forward(model.d_p, x_p)
-    dp_fake, _ = forward(model.d_p, fake_p)
-    d_n = gan_objective(dn_pos, dn_fake)
-    return {"d_n": d_n, "g_p": -d_n, "g_n": gan_objective(dp_pos, dp_fake)}
 
 
 def symmetric_values(
@@ -93,6 +77,10 @@ def symmetric_losses(model: TriGanModel, x_p, x_n, z, mode: str) -> tuple[float,
 
 
 # --- gradient rules --------------------------------------------------------
+#
+# The three exchanged equations on real batches: the negative discriminator
+# is trained against *positive* data, the positive generator's objective is
+# the negated exchanged form, and the third is the positive-pair bracket.
 
 
 def inverted_d_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
@@ -101,12 +89,12 @@ def inverted_d_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
 
 def inverted_g_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     # the printed objective contains no g_p term
-    return np.zeros_like(model.g_p.flat), inverted_losses(model, x_p, z)["g_p"]
+    return np.zeros_like(model.g_p.flat), -trigan.bracket_value(model.d_n, model.g_n, x_p, z)
 
 
 def inverted_g_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     # the printed expression mentions only d_p and g_p; g_n gets nothing
-    return np.zeros_like(model.g_n.flat), inverted_losses(model, x_p, z)["g_n"]
+    return np.zeros_like(model.g_n.flat), trigan.bracket_value(model.d_p, model.g_p, x_p, z)
 
 
 def symmetric_d_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
@@ -142,18 +130,18 @@ def symmetric_g_n_grads(
 # --- trainer steps: tables like trigan.PROPOSED_STEPS, same d_y and g_y rows --
 
 INVERTED_STEPS = (
-    ("d_n", lambda m, cfg, b: inverted_d_n_grads(m, b.x_p, b.z), 1),
+    ("d_n", lambda m, cfg, b: inverted_d_n_grads(m, b.x_p, b.z), "loss_neg"),
     trigan.D_Y_ROW,
     ("g_p", lambda m, cfg, b: inverted_g_p_grads(m, b.x_p, b.z2), None),
-    ("g_n", lambda m, cfg, b: inverted_g_n_grads(m, b.x_p, b.z2), 0),
+    ("g_n", lambda m, cfg, b: inverted_g_n_grads(m, b.x_p, b.z2), "loss_pos"),
     trigan.G_Y_ROW,
 )
 
 
 def _symmetric_steps(mode: str) -> tuple:
     return (
-        ("d_p", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), 0),
-        ("d_n", lambda m, cfg, b: symmetric_d_n_grads(m, b.x_p, b.x_n, b.z, mode), 1),
+        ("d_p", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), "loss_pos"),
+        ("d_n", lambda m, cfg, b: symmetric_d_n_grads(m, b.x_p, b.x_n, b.z, mode), "loss_neg"),
         trigan.D_Y_ROW,
         ("g_p", lambda m, cfg, b: symmetric_g_p_grads(m, b.x_p, b.z2), None),
         ("g_n", lambda m, cfg, b: symmetric_g_n_grads(m, b.x_p, b.x_n, b.z2, mode), None),
@@ -197,11 +185,8 @@ def baseline_train(
         idx = rng.integers(0, n, cfg.batch_size)
         xb = data.features[idx]
         yb = data.labels[idx].astype(np.float64).reshape(-1, 1)
-        s, cache = forward(net, xb)
-        m = s.shape[0]
+        grads, (s,) = trigan.net_grads(net, [(xb, lambda s, m: (s - yb) / (m * s * (1 - s)))])
         bce = float(-(yb * np.log(s) + (1 - yb) * np.log(1 - s)).mean())
-        grad_out = (s - yb) / (m * s * (1 - s))
-        grads, _ = backward(net, cache, grad_out, input_grad=False)
         optimizer_step(net, grads, opt, "descend")
         rec = MetricsRecord(run=run_id, iter=it, loss_label=bce)
         if cfg.eval_every and it % cfg.eval_every == 0 and val_data is not None:

@@ -89,7 +89,7 @@ WORK_PER_STEP = {
     ("proposed", "alg1-line14"): (21, 13, 6),
     ("proposed", "eq4"): (23, 15, 6),
     ("proposed", "generator-labels"): (21, 15, 6),
-    ("inverted", "alg1-line14"): (24, 5, 5),
+    ("inverted", "alg1-line14"): (18, 5, 5),
     ("symmetric", "alg1-line14"): (21, 7, 6),
     ("symmetric-intended", "alg1-line14"): (21, 11, 6),
 }
@@ -151,4 +151,4 @@ def test_bench_setup_builds_a_trainable_model(workload, tmp_path, monkeypatch):
                    for a in (data.positives(), data.negatives(), data.features))
     z, z2 = (rng.standard_normal((cfg.batch_size, model.noise_dim)) for _ in range(2))
     losses = trigan.proposed_step(model, opts, cfg, x_p, x_n, x, z, z2)
-    assert np.isfinite(losses).all()
+    assert np.isfinite(list(losses.values())).all()

@@ -370,19 +370,23 @@ class TestTrainEval:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "nets, needle",
+        "version, nets, needle",
         [
-            ([], "nets must be an object"),
-            (None, "nets must be an object"),
-            ({"Gy": _gy(weight=float("nan"))}, "net 'Gy': non-finite parameters"),
-            ({"Gy": _gy(weight=float("inf"))}, "net 'Gy': non-finite parameters"),
-            ({"Gy": _gy(outputs=2)}, "Gy must map sample_dim -> 1"),
+            (1, [], "nets must be an object"),
+            (1, None, "nets must be an object"),
+            (1, {"Gy": _gy(weight=float("nan"))}, "net 'Gy': non-finite parameters"),
+            (1, {"Gy": _gy(weight=float("inf"))}, "net 'Gy': non-finite parameters"),
+            (1, {"Gy": _gy(outputs=2)}, "Gy must map sample_dim -> 1"),
+            (True, {}, "checkpoint version true unsupported"),
+            (1.0, {}, "checkpoint version 1.0 unsupported"),
+            ("1", {}, 'checkpoint version "1" unsupported'),
         ],
-        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy"],
+        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy",
+             "version-true", "version-float", "version-string"],
     )
-    def test_eval_bad_checkpoint_exit_2(self, nets, needle, tmp_path, capsys):
+    def test_eval_bad_checkpoint_exit_2(self, version, nets, needle, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(json.dumps({"version": 1, "nets": nets}))  # NaN, Infinity as JSON writes them
+        ckpt.write_text(json.dumps({"version": version, "nets": nets}))  # NaN, Infinity as JSON writes them
         data_dir, out = tmp_path / "data", tmp_path / "out"
         assert main(["gen-data", "--config", write_config(tmp_path, toy_config()),
                      "--out", str(data_dir)]) == 0

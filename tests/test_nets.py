@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -441,6 +442,14 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"version": 99, "nets": {}}')
         with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("spelled", ["true", "1.0", '"1"'], ids=["bool", "float", "string"])
+    def test_version_must_be_an_int_quoted_as_spelled(self, tmp_path, spelled):
+        # JSON true and 1.0 compare equal to 1 in Python; neither is version 1
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"version": %s, "nets": {}}' % spelled)
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint version {spelled} unsupported")):
             checkpoint_load(path)
 
     @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from claimgan.trigan import (
     NET_NAMES,
     TrainConfig,
     TriGanModel,
+    bracket_grads,
+    bracket_value,
     build_model,
     classify_batch,
     d_y_objective,
@@ -334,3 +336,11 @@ class TestGradientRules:
         assert v1 == v2  # objective itself carries no prior factor
         assert g1.shape == g2.shape == m1.d_p.flat.shape
         assert np.allclose(g1 * 0.4, g2 * 0.8)  # weights and biases
+
+    @pytest.mark.parametrize("pair", [("d_p", "g_p"), ("d_n", "g_n")])
+    def test_bracket_value_is_the_value_bracket_grads_returns(self, pair):
+        for seed in range(5):
+            model, x_p, x_n, _, z = _random_instance(seed)
+            disc, gen = (getattr(model, name) for name in pair)
+            for real in (x_p, x_n):
+                assert bracket_value(disc, gen, real, z) == bracket_grads(disc, gen, real, z)[1]

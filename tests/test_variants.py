@@ -3,7 +3,8 @@ import pytest
 
 from claimgan.config import VARIANTS
 from claimgan.data import gaussian_mixture
-from claimgan.nets import forward
+from claimgan.metrics import CSV_COLUMNS
+from claimgan.nets import forward, make_optimizer
 from claimgan.trigan import TrainConfig, build_model, gan_objective, train
 from claimgan.variants import (
     STEP_FUNCTIONS,
@@ -12,7 +13,6 @@ from claimgan.variants import (
     inverted_d_n_grads,
     inverted_g_n_grads,
     inverted_g_p_grads,
-    inverted_losses,
     symmetric_d_n_grads,
     symmetric_g_n_grads,
     symmetric_losses,
@@ -41,14 +41,14 @@ class TestInvertedValues:
         rng = np.random.default_rng(0)
         x_p = rng.standard_normal((6, 2))
         z = rng.standard_normal((6, 2))
-        vals = inverted_losses(m, x_p, z)
+        d_n = inverted_d_n_grads(m, x_p, z)[1]
         # the second equation is the exact negation of the first
-        assert vals["g_p"] == -vals["d_n"]
+        assert inverted_g_p_grads(m, x_p, z)[1] == -d_n
         # the third uses the positive pair, so it matches gan_objective on it
         fake_p, _ = forward(m.g_p, z)
         dp_pos, _ = forward(m.d_p, x_p)
         dp_fake, _ = forward(m.d_p, fake_p)
-        assert vals["g_n"] == gan_objective(dp_pos, dp_fake)
+        assert inverted_g_n_grads(m, x_p, z)[1] == gan_objective(dp_pos, dp_fake)
 
     def test_generator_updates_are_literal_zero_grads(self):
         m = small_model(2)
@@ -159,6 +159,20 @@ class TestTrainVariant:
             for la, lb in zip(getattr(m, name).layers, getattr(trained, name).layers):
                 assert np.array_equal(la.weight, lb.weight)
         assert not np.array_equal(m.d_n.layers[0].weight, trained.d_n.layers[0].weight)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
+    def test_step_rows_name_telemetry_columns(self, kind):
+        for _, _, column in STEP_FUNCTIONS[kind].args[0]:
+            assert column is None or column in CSV_COLUMNS
+
+    @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
+    def test_step_fills_the_three_loss_columns(self, kind):
+        m = small_model(9)
+        opts = {name: make_optimizer(net) for name, net in m.nets().items()}
+        rng = np.random.default_rng(5)
+        x_p, x_n, x, z, z2 = (rng.standard_normal((4, 2)) for _ in range(5))
+        losses = STEP_FUNCTIONS[kind](m, opts, TrainConfig(iterations=1), x_p, x_n, x, z, z2)
+        assert set(losses) == {"loss_pos", "loss_neg", "loss_label"}
 
     def test_baseline_has_no_step_fn(self):
         assert "baseline" not in STEP_FUNCTIONS
