@@ -73,12 +73,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def positives(self) -> np.ndarray:
-        return self.features[self.labels == 1]
-
-    def negatives(self) -> np.ndarray:
-        return self.features[self.labels == 0]
-
 
 def gaussian_mixture(
     n_per_class: int,

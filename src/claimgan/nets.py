@@ -152,11 +152,16 @@ def keep_heap_for_steps() -> None:
     mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
-def forward(net: NeuralNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
+def forward(
+    net: NeuralNet, batch: np.ndarray, *, keep_cache: bool = True
+) -> tuple[np.ndarray, list | None]:
     """Run the net on a (m, input_dim) batch.
 
     Returns (outputs, cache). cache[k] is layer k's (input, output): all that
     `backward` reads. cache[0][0] is the batch itself, which is never written.
+    With keep_cache=False the cache is None and each layer's input is freed
+    once its output exists, so at most two layer outputs are alive at a
+    time; the outputs are the same bits.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
@@ -165,13 +170,14 @@ def forward(net: NeuralNet, batch: np.ndarray) -> tuple[np.ndarray, list]:
         )
     if not np.isfinite(batch).all():
         raise ValueError("non-finite input batch")
-    cache = []
+    cache = [] if keep_cache else None
     h = batch
     for layer in net.layers:
         z = h @ layer.weight.T  # a fresh array, so activating in place is safe
         z += layer.bias
         out = ACTIVATIONS[layer.activation][0](z)
-        cache.append((h, out))
+        if keep_cache:
+            cache.append((h, out))
         h = out
     return h, cache
 

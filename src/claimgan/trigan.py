@@ -419,15 +419,17 @@ def train(
         name: make_optimizer(net, cfg.optimizer, cfg.lr_for(name))
         for name, net in model.nets().items()
     }
-    pos = data.positives()
-    neg = data.negatives()
+    # batches are drawn as row indices into the features, so no copy of
+    # either class is kept between evals
     allx = data.features
+    pos_rows = np.flatnonzero(data.labels == 1)
+    neg_rows = np.flatnonzero(data.labels == 0)
     m = cfg.batch_size
     records: list[MetricsRecord] = []
     for it in range(1, cfg.iterations + 1):
         z = rng.standard_normal((m, model.noise_dim))
-        x_p = pos[rng.integers(0, pos.shape[0], m)]
-        x_n = neg[rng.integers(0, neg.shape[0], m)]
+        x_p = allx[pos_rows[rng.integers(0, len(pos_rows), m)]]
+        x_n = allx[neg_rows[rng.integers(0, len(neg_rows), m)]]
         x = allx[rng.integers(0, allx.shape[0], m)]
         z2 = rng.standard_normal((m, model.noise_dim))
         rec = MetricsRecord(run=run_id, iter=it, **step_fn(model, opts, cfg, x_p, x_n, x, z, z2))
@@ -437,11 +439,11 @@ def train(
                 preds = classify_batch(model, val_data.features)[1]
                 p, r, f1, _ = precision_recall_f1(preds, val_data.labels)
                 rec.precision, rec.recall, rec.f1 = p, r, f1
-            n_gen = min(cfg.similarity_sample_cap, pos.shape[0])
+            n_gen = min(cfg.similarity_sample_cap, len(pos_rows))
             z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
-            gen_pos = forward(model.g_p, z_eval)[0]  # frees the cache before pairing
+            gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
             rec.cos, rec.man, rec.euc = similarity_report(
-                pos,
+                allx[pos_rows],
                 gen_pos,
                 n_cap=cfg.similarity_sample_cap,
                 seed=int(eval_rng.integers(0, 2**32)),
@@ -453,7 +455,7 @@ def train(
 
 def predict(net: NeuralNet, xs) -> tuple[np.ndarray, np.ndarray]:
     """Class scores of a one-output net and hard labels: 1 iff score >= 0.5."""
-    scores, _ = forward(net, np.asarray(xs, dtype=np.float64))
+    scores, _ = forward(net, np.asarray(xs, dtype=np.float64), keep_cache=False)
     scores = scores[:, 0]
     return scores, (scores >= 0.5).astype(np.int64)
 

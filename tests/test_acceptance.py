@@ -156,7 +156,8 @@ def toy_benchmark():
 
 def test_criterion_06_toy_equilibrium_behavior(toy_benchmark):
     bench = toy_benchmark
-    pos = bench["train"].positives()
+    train_ds = bench["train"]
+    pos = train_ds.features[train_ds.labels == 1]
     d_real, _ = forward(bench["model"].d_p, pos)
     gen_noise = np.random.default_rng([1, 0, 99]).standard_normal((pos.shape[0], 8))
     gen, _ = forward(bench["model"].g_p, gen_noise)

@@ -23,6 +23,7 @@ import pytest
 
 import claimgan.cli  # noqa: F401 - loads every module the tracer patches
 from claimgan import metrics, trigan
+from claimgan.data import gaussian_mixture
 from claimgan.nets import forward, make_optimizer, net_init
 from claimgan.variants import STEP_FUNCTIONS
 
@@ -114,6 +115,24 @@ def _count_calls(monkeypatch, targets) -> dict:
     return counts
 
 
+def test_an_evaluating_iteration_adds_the_benchmarks_forwards_per_eval(monkeypatch):
+    """run.py expects FORWARDS_PER_EVAL more nets.forward calls inside
+    trigan.train for each evaluating iteration: classify_batch on the
+    validation split and g_p on the similarity noise."""
+    monkeypatch.setitem(sys.modules, "inputs", _perfbench("inputs"))  # run.py imports it by name
+    per_eval = _perfbench("run").FORWARDS_PER_EVAL
+    ds = gaussian_mixture(40, 3, [[-1.0] * 3, [1.0] * 3], 1.0, 0)
+    model = trigan.build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
+    counts = _count_calls(monkeypatch, [("nets", "forward")])
+    calls = []
+    for every in (0, 1):
+        counts["forward"] = 0
+        cfg = trigan.TrainConfig(iterations=1, batch_size=4, eval_every=every)
+        trigan.train(model, ds, cfg, val_data=ds)
+        calls.append(counts["forward"])
+    assert calls[1] - calls[0] == per_eval
+
+
 @pytest.mark.parametrize("variant, mode", sorted(WORK_PER_STEP))
 def test_work_per_step(variant, mode, monkeypatch):
     work = ("forward", "backward", "optimizer_step")
@@ -147,8 +166,9 @@ def test_bench_setup_builds_a_trainable_model(workload, tmp_path, monkeypatch):
         for name, net in model.nets().items()
     }
     rng = np.random.default_rng(0)
+    classes = (data.features[data.labels == 1], data.features[data.labels == 0])
     x_p, x_n, x = (a[rng.integers(0, a.shape[0], cfg.batch_size)]
-                   for a in (data.positives(), data.negatives(), data.features))
+                   for a in (*classes, data.features))
     z, z2 = (rng.standard_normal((cfg.batch_size, model.noise_dim)) for _ in range(2))
     losses = trigan.proposed_step(model, opts, cfg, x_p, x_n, x, z, z2)
     assert np.isfinite(list(losses.values())).all()

@@ -39,8 +39,8 @@ class TestGaussianMixture:
 
     def test_class_means_near_targets(self):
         ds = gaussian_mixture(2000, 2, ((-3, 0), (3, 0)), 0.5, 1)
-        assert np.allclose(ds.positives().mean(axis=0), (3, 0), atol=0.1)
-        assert np.allclose(ds.negatives().mean(axis=0), (-3, 0), atol=0.1)
+        assert np.allclose(ds.features[ds.labels == 1].mean(axis=0), (3, 0), atol=0.1)
+        assert np.allclose(ds.features[ds.labels == 0].mean(axis=0), (-3, 0), atol=0.1)
 
     def test_deterministic(self):
         a = gaussian_mixture(10, 2, ((0, 0), (1, 1)), 1.0, 7)

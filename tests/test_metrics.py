@@ -80,6 +80,83 @@ def _scan_block_rows(n_real: int) -> int:
     return metrics.SCAN_BLOCK_BYTES // (8 * n_real)
 
 
+def _report_block_rows(dim: int) -> int:
+    return metrics.REPORT_BLOCK_BYTES // (8 * dim)
+
+
+def _whole_sample_report(real, generated, n_cap, seed, pairing):
+    """similarity_report computed on the whole sample at once, partners from
+    scipy's tree: the reference the blocked report must match bit for bit."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    n = min(n_cap, len(generated))
+    gen = generated[rng.choice(len(generated), size=n, replace=False)]
+    if pairing == "nearest":
+        partners = real[cKDTree(real).query(gen, k=1)[1]]
+    else:
+        partners = real[rng.integers(0, len(real), size=n)]
+    norms = np.linalg.norm(gen, axis=1) * np.linalg.norm(partners, axis=1)
+    cos = np.where(norms > 0, (gen * partners).sum(axis=1) / np.where(norms > 0, norms, 1.0), 1.0)
+    diff = gen - partners
+    man = np.abs(diff).sum(axis=1)
+    euc = np.sqrt((diff * diff).sum(axis=1))
+    return float(cos.mean()), float(man.mean()), float(euc.mean())
+
+
+class TestBlockedSimilarityReport:
+    # (dim, generated rows, n_cap); 2-D takes scipy's tree, 64-D the scan
+    @pytest.mark.parametrize(
+        "dim, n_gen, n_cap",
+        [
+            pytest.param(2, 2 * _report_block_rows(2) + 7, 20000, id="2-short-last-block"),
+            pytest.param(64, 2 * _report_block_rows(64) + 7, 20000, id="64-short-last-block"),
+            pytest.param(2, 500, 300, id="2-capped"),
+            pytest.param(
+                64, 3 * _report_block_rows(64), _report_block_rows(64) + 5, id="64-capped"
+            ),
+            pytest.param(2, 40, 1, id="2-one-row"),
+            pytest.param(64, 1, 20000, id="64-one-row"),
+        ],
+    )
+    @pytest.mark.parametrize("rows", ["plain", "zero-norm", "duplicated-real"])
+    @pytest.mark.parametrize("pairing", ["nearest", "random"])
+    def test_matches_the_whole_sample_formula(self, dim, n_gen, n_cap, rows, pairing):
+        rng = np.random.default_rng(dim + n_gen)
+        real = rng.standard_normal((150, dim))
+        gen = rng.standard_normal((n_gen, dim))
+        if rows == "zero-norm":  # pairs with a zero-norm side take the cos = 1 branch
+            real[::7] = 0.0
+            gen[::3] = 0.0
+        elif rows == "duplicated-real":  # nearest ties go to the lowest index
+            real = np.concatenate([real, real])
+        got = similarity_report(real, gen, n_cap=n_cap, seed=5, pairing=pairing)
+        want = _whole_sample_report(real, gen, n_cap, 5, pairing)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("pairing", ["nearest", "random"])
+    @pytest.mark.parametrize(
+        "real_cols, gen_cols, n_cap, match",
+        [
+            (3, 3, 0, "n_cap"),
+            (3, 3, -2, "n_cap"),
+            (3, 4, 20000, "columns"),
+            (64, 2, 20000, "columns"),
+        ],
+    )
+    def test_bad_input_fails_before_any_work(
+        self, real_cols, gen_cols, n_cap, match, pairing, monkeypatch
+    ):
+        def no_tree(_):
+            raise AssertionError("the nearest-neighbour tree was built")
+
+        monkeypatch.setattr(metrics, "cKDTree", no_tree)
+        rng = np.random.default_rng(6)
+        real, gen = rng.standard_normal((20, real_cols)), rng.standard_normal((10, gen_cols))
+        with pytest.raises(ValueError, match=match):
+            similarity_report(real, gen, n_cap=n_cap, pairing=pairing)
+
+
 class TestSimilarityReport:
     # (dim, real rows, generated rows); dims 2 and 6 take scipy's tree, the
     # rest the exact scan (metrics.KD_TREE_MAX_DIM is 10)

@@ -103,6 +103,15 @@ class TestForward:
         b, _ = forward(net, x)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("acts", [["tanh", "tanh", "identity"], ["relu", "relu", "sigmoid"]])
+    def test_cache_free_forward_gives_the_cached_output_bits(self, acts):
+        net = net_init([5, 16, 16, 3], acts, 4)
+        x = np.random.default_rng(4).standard_normal((37, 5))
+        cached, cache = forward(net, x)
+        out, none = forward(net, x, keep_cache=False)
+        assert none is None and len(cache) == 3
+        assert np.array_equal(out.view(np.uint64), cached.view(np.uint64))
+
     @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid", "identity"])
     def test_forward_never_changes_its_input_batch(self, act):
         # relu and tanh activate in place; with an identity weight their

@@ -283,7 +283,7 @@ class TestTrain:
         from claimgan.data import LabeledDataset
 
         pos_only = LabeledDataset(
-            features=toy_data.positives(), labels=np.ones(200, dtype=np.int64)
+            features=toy_data.features[toy_data.labels == 1], labels=np.ones(200, dtype=np.int64)
         )
         m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
         with pytest.raises(ValueError):
