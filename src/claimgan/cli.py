@@ -166,6 +166,7 @@ def cmd_verify_equilibrium(args) -> int:
         raise ValueError("--pn: needs --pp")
     else:
         k = k or 2  # one-hot masses on a support of 2 unless -k says otherwise
+        equilibrium.grid_divisions(k, args.grid_step)  # before any mass vector of length k
         p_p, p_n = np.zeros(k), np.zeros(k)
         p_p[0] = p_n[min(1, k - 1)] = 1.0
     for flag, masses in (("--pp", p_p), ("--pn", p_n)):
@@ -259,8 +260,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:  # ConfigError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:  # ConfigError is a ValueError
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -127,19 +127,31 @@ def jsd(p, q) -> float:
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
-def simplex_grid(k: int, step: float) -> np.ndarray:
-    """All mass vectors on the k-simplex with coordinates multiples of step."""
+def grid_divisions(k: int, step: float) -> int:
+    """n = 1/step for the simplex grid of `step` on a support of k, once the
+    step is checked and the grid's point count is at most MAX_GRID_POINTS."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"grid step must be positive and finite, got {step}")
     inv = 1.0 / step  # inf for a subnormal step
     n = round(inv) if math.isfinite(inv) else 0
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError("grid step must divide 1")
+    if k > 1 and n + k - 1 > MAX_GRID_POINTS:
+        # over the cap for sure, and counting the points exactly can take minutes
+        raise ValueError(
+            f"grid step {step} gives over {MAX_GRID_POINTS} points on a support of {k}"
+        )
     count = math.comb(n + k - 1, k - 1)
     if count > MAX_GRID_POINTS:
         raise ValueError(
             f"grid step {step} gives {count} points on a support of {k}, over {MAX_GRID_POINTS}"
         )
+    return n
+
+
+def simplex_grid(k: int, step: float) -> np.ndarray:
+    """All mass vectors on the k-simplex with coordinates multiples of step."""
+    n = grid_divisions(k, step)
     points = []
     # compositions of n into k nonnegative parts
     for cuts in combinations_with_replacement(range(n + 1), k - 1):

@@ -135,10 +135,10 @@ def keep_heap_for_steps() -> None:
     threshold glibc keeps that memory; above it, glibc gives it back and
     the next step page-faults it in again: about 360 minor faults per toy
     step (2-D, hidden 64, batch 64) at glibc's default 128 KiB and still
-    at 512 KiB. At 1 MiB the toy steps and most 64-D eq4 steps run without
-    faults, but the first eq4 step after each eval still takes about 40.
-    2 MiB is the smallest power of two with no faults in any step of
-    either; larger values only keep more memory.
+    at 512 KiB. At 1 MiB the toy steps run without faults, but the first
+    64-D eq4 step after each eval took about 40. At 2 MiB the first step
+    after every second eval still takes 130-146 on the seed-0 benchmark
+    corpus (eq4, eval every 50), and the other steps none.
 
     Without glibc's mallopt (macOS, Windows) nothing is done.
     """

@@ -332,7 +332,7 @@ def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
     return grads, g_n_loss(*outs, model.pi_n)
 
 
-def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]:
+def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None, float]:
     pi_p, pi_n = model.pi_p, model.pi_n
     fake_p, _ = forward(model.g_p, z)
     fake_n, _ = forward(model.g_n, z)
@@ -344,8 +344,8 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
     t_p, _ = forward(model.d_y, fake_p)
     t_n, _ = forward(model.d_y, fake_n)
     if mode == "alg1-line14":
-        # the printed rule contains no g_y term: the gradient is exactly zero
-        return np.zeros_like(model.g_y.flat), g_y_loss(t_p, t_n, pi_p, pi_n, mode)
+        # the printed rule contains no g_y term: the gradient is known zero
+        return None, g_y_loss(t_p, t_n, pi_p, pi_n, mode)
     terms = [(fake_p, log_grad(-pi_p * t_p)), (fake_n, log_grad(-pi_n * t_n))]
     grads, (u_p, u_n) = net_grads(model.g_y, terms)
     return grads, g_y_loss(t_p, t_n, pi_p, pi_n, mode, u_p, u_n)
@@ -354,8 +354,9 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads, float]
 # --- one training iteration, as a table of updates ---------------------------
 #
 # A row (net, rule, column): rule(model, cfg, batches) returns (grads,
-# value), the net steps in its roster direction, and the value fills the
-# MetricsRecord field `column`, or nothing if it is None.
+# value), the net steps in its roster direction unless grads is None (a
+# known-zero gradient: from zero moments its step would add only +-0.0),
+# and the value fills the MetricsRecord field `column`, or nothing if None.
 # Rules call the update rules through module globals, so a rebinding (a
 # tracer, a test double) sees every call.
 
@@ -379,8 +380,9 @@ def run_steps(table, model, opts, cfg, x_p, x_n, x, z, z2):
     losses = {}
     for name, rule, column in table:
         grads, value = rule(model, cfg, batches)
-        direction = "ascend" if name in DISCRIMINATORS else "descend"
-        optimizer_step(getattr(model, name), grads, opts[name], direction)
+        if grads is not None:
+            direction = "ascend" if name in DISCRIMINATORS else "descend"
+            optimizer_step(getattr(model, name), grads, opts[name], direction)
         if column is not None:
             losses[column] = value
     return losses

@@ -11,7 +11,7 @@ rows (d_y, g_y), so their telemetry is interchangeable with it.
 In the printed inverted equations the positive generator's objective does
 not mention the positive generator, and the third equation names players
 absent from its expression; those updates are implemented literally as
-zero gradients rather than silently repaired.
+no gradient (None, so no step) rather than silently repaired.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .metrics import MetricsRecord, precision_recall_f1
 from .nets import (
     NeuralNet,
     ParamGrads,
-    forward,
     keep_heap_for_steps,
     make_optimizer,
     net_init,
@@ -64,67 +63,54 @@ def symmetric_values(
     return v1, gan_objective(d_n_on_neg, d_n_on_gn_fake)
 
 
-def symmetric_losses(model: TriGanModel, x_p, x_n, z, mode: str) -> tuple[float, float]:
-    fake_p, _ = forward(model.g_p, z)
-    dp_pos, _ = forward(model.d_p, x_p)
-    dp_fake, _ = forward(model.d_p, fake_p)
-    if mode == "as-printed":
-        return symmetric_values(dp_pos, dp_fake, mode)
-    fake_n, _ = forward(model.g_n, z)
-    dn_neg, _ = forward(model.d_n, x_n)
-    dn_fake, _ = forward(model.d_n, fake_n)
-    return symmetric_values(dp_pos, dp_fake, mode, dn_neg, dn_fake)
-
-
 # --- gradient rules --------------------------------------------------------
 #
 # The three exchanged equations on real batches: the negative discriminator
 # is trained against *positive* data, the positive generator's objective is
 # the negated exchanged form, and the third is the positive-pair bracket.
+# A known-zero gradient is None, and a value no column takes is not computed.
 
 
 def inverted_d_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     return trigan.bracket_grads(model.d_n, model.g_n, x_p, z)
 
 
-def inverted_g_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
+def inverted_g_p_grads(model: TriGanModel) -> tuple[None, None]:
     # the printed objective contains no g_p term
-    return np.zeros_like(model.g_p.flat), -trigan.bracket_value(model.d_n, model.g_n, x_p, z)
+    return None, None
 
 
-def inverted_g_n_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
+def inverted_g_n_grads(model: TriGanModel, x_p, z) -> tuple[None, float]:
     # the printed expression mentions only d_p and g_p; g_n gets nothing
-    return np.zeros_like(model.g_n.flat), trigan.bracket_value(model.d_p, model.g_p, x_p, z)
+    return None, trigan.bracket_value(model.d_p, model.g_p, x_p, z)
 
 
 def symmetric_d_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     return trigan.bracket_grads(model.d_p, model.g_p, x_p, z)
 
 
-def _saturating_grads(gen: NeuralNet, disc: NeuralNet, real, z) -> tuple[ParamGrads, float]:
+def _saturating_grads(gen: NeuralNet, disc: NeuralNet, z) -> tuple[ParamGrads, None]:
     """gen's gradients of gan_objective(disc(real), disc(gen(z))), which it minimizes."""
-    grads, (d_fake,) = trigan.generator_grads(gen, z, [(disc, trigan.log1m_grad())])
-    return grads, gan_objective(forward(disc, real)[0], d_fake)
+    return trigan.generator_grads(gen, z, [(disc, trigan.log1m_grad())])[0], None
 
 
-def symmetric_g_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
-    return _saturating_grads(model.g_p, model.d_p, x_p, z)
+def symmetric_g_p_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:
+    return _saturating_grads(model.g_p, model.d_p, z)
 
 
 def symmetric_d_n_grads(
     model: TriGanModel, x_p, x_n, z, mode: str
-) -> tuple[ParamGrads, float]:
+) -> tuple[ParamGrads | None, float]:
     if mode == "as-printed":
-        return np.zeros_like(model.d_n.flat), symmetric_losses(model, x_p, x_n, z, mode)[1]
+        # the second value function is the positive-pair bracket again
+        return None, trigan.bracket_value(model.d_p, model.g_p, x_p, z)
     return trigan.bracket_grads(model.d_n, model.g_n, x_n, z)
 
 
-def symmetric_g_n_grads(
-    model: TriGanModel, x_p, x_n, z, mode: str
-) -> tuple[ParamGrads, float]:
+def symmetric_g_n_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None, None]:
     if mode == "as-printed":
-        return np.zeros_like(model.g_n.flat), symmetric_losses(model, x_p, x_n, z, mode)[1]
-    return _saturating_grads(model.g_n, model.d_n, x_n, z)
+        return None, None
+    return _saturating_grads(model.g_n, model.d_n, z)
 
 
 # --- trainer steps: tables like trigan.PROPOSED_STEPS, same d_y and g_y rows --
@@ -132,7 +118,7 @@ def symmetric_g_n_grads(
 INVERTED_STEPS = (
     ("d_n", lambda m, cfg, b: inverted_d_n_grads(m, b.x_p, b.z), "loss_neg"),
     trigan.D_Y_ROW,
-    ("g_p", lambda m, cfg, b: inverted_g_p_grads(m, b.x_p, b.z2), None),
+    ("g_p", lambda m, cfg, b: inverted_g_p_grads(m), None),
     ("g_n", lambda m, cfg, b: inverted_g_n_grads(m, b.x_p, b.z2), "loss_pos"),
     trigan.G_Y_ROW,
 )
@@ -143,8 +129,8 @@ def _symmetric_steps(mode: str) -> tuple:
         ("d_p", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), "loss_pos"),
         ("d_n", lambda m, cfg, b: symmetric_d_n_grads(m, b.x_p, b.x_n, b.z, mode), "loss_neg"),
         trigan.D_Y_ROW,
-        ("g_p", lambda m, cfg, b: symmetric_g_p_grads(m, b.x_p, b.z2), None),
-        ("g_n", lambda m, cfg, b: symmetric_g_n_grads(m, b.x_p, b.x_n, b.z2, mode), None),
+        ("g_p", lambda m, cfg, b: symmetric_g_p_grads(m, b.z2), None),
+        ("g_n", lambda m, cfg, b: symmetric_g_n_grads(m, b.z2, mode), None),
         trigan.G_Y_ROW,
     )
 

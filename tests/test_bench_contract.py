@@ -8,9 +8,11 @@ does a change to the API the benchmark builds its inputs with: each
 workload's set-up is run here as the benchmark child runs it.
 
 The counts below are the work of one training step at the time they were
-recorded. Skipping the zero-gradient g_y update and reusing generator
-outputs (ROADMAP item 5) change them on purpose; that change updates this
-table in the same commit as the benchmark's own expected counts.
+recorded. The proposed step's forwards must equal the benchmark's own
+FORWARDS_PER_STEP; dropping g_y's forwards or reusing generator outputs
+changes both in one commit. A rule that returns no gradient takes no
+optimizer step, so the variants' counts may change without a benchmark
+change.
 """
 
 import importlib.util
@@ -37,6 +39,12 @@ def _perfbench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_module(monkeypatch):
+    """perfbench/run.py, which imports perfbench/inputs.py by name."""
+    monkeypatch.setitem(sys.modules, "inputs", _perfbench("inputs"))
+    return _perfbench("run")
 
 
 def _traced():
@@ -87,27 +95,42 @@ def test_backward_work_reads_the_batch_from_the_cache():
 
 # (variant, g_y mode) -> forward, backward, optimizer_step calls in one step
 WORK_PER_STEP = {
-    ("proposed", "alg1-line14"): (21, 13, 6),
+    ("proposed", "alg1-line14"): (21, 13, 5),
     ("proposed", "eq4"): (23, 15, 6),
     ("proposed", "generator-labels"): (21, 15, 6),
-    ("inverted", "alg1-line14"): (18, 5, 5),
-    ("symmetric", "alg1-line14"): (21, 7, 6),
-    ("symmetric-intended", "alg1-line14"): (21, 11, 6),
+    ("inverted", "alg1-line14"): (15, 5, 2),
+    ("symmetric", "alg1-line14"): (17, 7, 3),
+    ("symmetric-intended", "alg1-line14"): (19, 11, 5),
 }
 
 
-def _count_calls(monkeypatch, targets) -> dict:
+def test_proposed_forwards_per_step_match_the_benchmark(monkeypatch):
+    """run.py checks FORWARDS_PER_STEP[mode] forwards per training step for
+    the g_y modes its workloads run; the proposed rows above must agree."""
+    per_step = _run_module(monkeypatch).FORWARDS_PER_STEP
+    assert per_step and set(per_step) <= set(trigan.G_Y_LOSS_MODES)
+    for mode, forwards in per_step.items():
+        assert WORK_PER_STEP["proposed", mode][0] == forwards, mode
+
+
+def _count_calls(monkeypatch, targets, results=None) -> dict:
     """Rebind every package binding of each (module, name) target to a
-    counting wrapper, as the tracer does; returns the live counts."""
+    counting wrapper, as the tracer does; returns the live counts. Given a
+    dict `results`, also lists each target's return values under its name."""
     counts = {}
     modules = [m for n, m in sys.modules.items() if n.startswith("claimgan")]
     for module, name in targets:
         orig = getattr(sys.modules[f"claimgan.{module}"], name)
         counts[name] = 0
+        if results is not None:
+            results[name] = []
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
             counts[_name] += 1
-            return _orig(*args, **kwargs)
+            result = _orig(*args, **kwargs)
+            if results is not None:
+                results[_name].append(result)
+            return result
 
         for mod in modules:
             if getattr(mod, name, None) is orig:
@@ -119,8 +142,7 @@ def test_an_evaluating_iteration_adds_the_benchmarks_forwards_per_eval(monkeypat
     """run.py expects FORWARDS_PER_EVAL more nets.forward calls inside
     trigan.train for each evaluating iteration: classify_batch on the
     validation split and g_p on the similarity noise."""
-    monkeypatch.setitem(sys.modules, "inputs", _perfbench("inputs"))  # run.py imports it by name
-    per_eval = _perfbench("run").FORWARDS_PER_EVAL
+    per_eval = _run_module(monkeypatch).FORWARDS_PER_EVAL
     ds = gaussian_mixture(40, 3, [[-1.0] * 3, [1.0] * 3], 1.0, 0)
     model = trigan.build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
     counts = _count_calls(monkeypatch, [("nets", "forward")])
@@ -137,7 +159,8 @@ def test_an_evaluating_iteration_adds_the_benchmarks_forwards_per_eval(monkeypat
 def test_work_per_step(variant, mode, monkeypatch):
     work = ("forward", "backward", "optimizer_step")
     rules = [t for t in _traced() if t[1].endswith("_grads")]
-    counts = _count_calls(monkeypatch, [("nets", n) for n in work] + rules)
+    results = {}
+    counts = _count_calls(monkeypatch, [("nets", n) for n in work] + rules, results)
 
     model = trigan.build_model(2, 3, 0.6, 0.4, seed=0, hidden=8)
     opts = {name: make_optimizer(net) for name, net in model.nets().items()}
@@ -147,8 +170,10 @@ def test_work_per_step(variant, mode, monkeypatch):
     z, z2 = (rng.standard_normal((4, 3)) for _ in range(2))
     STEP_FUNCTIONS[variant](model, opts, cfg, x_p, x_n, x, z, z2)
     assert tuple(counts[n] for n in work) == WORK_PER_STEP[variant, mode]
-    # every optimizer step's gradients came through a rebound update rule
-    assert sum(counts[name] for _, name in rules) == counts["optimizer_step"]
+    # optimizer steps are exactly the rule calls that returned a gradient
+    # (a rebound rule, so none bypasses the tracer)
+    with_grads = sum(grads is not None for _, name in rules for grads, _ in results[name])
+    assert with_grads == counts["optimizer_step"]
 
 
 @pytest.mark.parametrize("workload", ["toy-train", "corpus-oracle"])

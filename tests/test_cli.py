@@ -19,6 +19,7 @@ from claimgan.config import (
     parse_config,
 )
 from claimgan.data import embed_pairs, load_dataset
+from claimgan.equilibrium import MAX_GRID_POINTS
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
 from claimgan.nets import checkpoint_load, checkpoint_save, net_init
@@ -434,6 +435,24 @@ class TestRangeChecksBeforeTraining:
         assert main(argv) == 2
         assert_one_error_line(capsys.readouterr().err, "seed: must be nonnegative")
 
+    @pytest.mark.parametrize(
+        "message, needle",
+        [("Unable to allocate 7.28 TiB for an array", "Unable to allocate"), ("", "MemoryError")],
+    )
+    def test_refused_allocation_exit_2(self, message, needle, tmp_path, capsys, monkeypatch):
+        # "hidden": 1000000 makes numpy refuse a TiB-sized weight matrix; the
+        # refusal is stubbed, because under memory overcommit a real request
+        # could be granted and then exhaust the host
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(trigan, "build_model", refuse)
+        cfg_path = write_config(tmp_path, toy_config(hidden=1000000))
+        out = tmp_path / "x"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, needle)
+        assert not out.exists()
+
 
 class TestNoEmptyOutDir:
     """A command that exits 2 before writing anything leaves no --out dir."""
@@ -568,6 +587,25 @@ class TestVerifyEquilibrium:
             tracemalloc.stop()
         assert_one_error_line(capsys.readouterr().err, "points on a support of 3000")
         assert peak < 4 * 2**20, peak
+
+    def test_huge_support_refused_before_any_mass_vector(self, capsys, monkeypatch):
+        # the grid cap must come first: masses of length -k would cost time
+        # and memory linear in k before the refusal
+        checked = data.is_distribution
+
+        def bounded(values):
+            assert len(values) <= MAX_GRID_POINTS, f"checked {len(values)} masses"
+            return checked(values)
+
+        monkeypatch.setattr(data, "is_distribution", bounded)
+        assert main(["verify-equilibrium", "-k", "10000000"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "points on a support of 10000000")
+
+    def test_huge_support_and_fine_step_refused_at_once(self, capsys):
+        # the exact point count here, C(2000000, 1000000), takes tens of seconds
+        argv = ["verify-equilibrium", "-k", "1000001", "--grid-step", "1e-6"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, "points on a support of 1000001")
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_bad_support_size_exit_2(self, k, capsys):

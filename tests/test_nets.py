@@ -237,6 +237,21 @@ class TestOptimizer:
         for b, l in zip(before, net.layers):
             assert np.array_equal(b, l.weight)
 
+    @pytest.mark.parametrize("algorithm", ["adam", "sgd"])
+    @pytest.mark.parametrize("direction", ["ascend", "descend"])
+    def test_zero_grad_steps_from_fresh_state_keep_every_bit(self, algorithm, direction):
+        # why a known-zero update (a rule's None) may skip its step: from
+        # zero moments every step adds +-0.0, which keeps a nonzero value
+        # and a +0.0 bias to the bit
+        net = net_init([2, 3, 1], ["tanh", "sigmoid"], 0)
+        before = net.flat.copy()
+        state = make_optimizer(net, algorithm, 0.1)
+        for _ in range(50):
+            optimizer_step(net, np.zeros_like(net.flat), state, direction)
+        assert np.array_equal(net.flat, before)
+        biases = np.concatenate([l.bias for l in net.layers])
+        assert np.all(biases == 0.0) and not np.signbit(biases).any()
+
     def test_sgd_descend_arithmetic(self):
         net = single_layer([[1.0]], [0.0], "identity")
         grads = np.array([0.5, 0.0])  # (dW, db), laid out like net.flat

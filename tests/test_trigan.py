@@ -10,12 +10,14 @@ from claimgan.nets import (
     Layer,
     NeuralNet,
     forward,
+    make_optimizer,
     max_relative_error,
     net_init,
     numeric_gradients,
 )
 from claimgan.trigan import (
     NET_NAMES,
+    PROPOSED_STEPS,
     TrainConfig,
     TriGanModel,
     bracket_grads,
@@ -30,6 +32,7 @@ from claimgan.trigan import (
     g_y_step_grads,
     gan_objective,
     predict,
+    run_steps,
     train,
 )
 
@@ -294,6 +297,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(m, toy_data, TrainConfig(iterations=1))
 
+    def test_a_row_without_gradient_takes_no_step(self):
+        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
+        opts = {name: make_optimizer(net) for name, net in m.nets().items()}
+        flat, moments = m.g_y.flat.copy(), (opts["g_y"].m.copy(), opts["g_y"].v.copy())
+        table = (PROPOSED_STEPS[0], ("g_y", lambda model, cfg, b: (None, 1.5), "loss_label"))
+        rng = np.random.default_rng(0)
+        x_p, x_n, x, z, z2 = (rng.standard_normal((4, 2)) for _ in range(5))
+        losses = run_steps(table, m, opts, TrainConfig(iterations=1), x_p, x_n, x, z, z2)
+        assert losses["loss_label"] == 1.5 and opts["d_p"].step == 1
+        assert np.array_equal(m.g_y.flat, flat) and opts["g_y"].step == 0
+        assert np.array_equal(opts["g_y"].m, moments[0])
+        assert np.array_equal(opts["g_y"].v, moments[1])
+
 
 class TestGradientRules:
     def test_alg1_g_y_gradient_is_exactly_zero(self):
@@ -301,7 +317,7 @@ class TestGradientRules:
         z = np.random.default_rng(0).standard_normal((4, 2))
         grads, loss = g_y_step_grads(m, z, "alg1-line14")
         assert math.isfinite(loss)
-        assert grads.shape == m.g_y.flat.shape and np.all(grads == 0.0)
+        assert grads is None  # known zero, so run_steps takes no g_y step
 
     def test_eq4_g_y_gradient_is_nonzero(self):
         m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)

@@ -5,7 +5,7 @@ from claimgan.config import VARIANTS
 from claimgan.data import gaussian_mixture
 from claimgan.metrics import CSV_COLUMNS
 from claimgan.nets import forward, make_optimizer
-from claimgan.trigan import TrainConfig, build_model, gan_objective, train
+from claimgan.trigan import TrainConfig, bracket_value, build_model, gan_objective, train
 from claimgan.variants import (
     STEP_FUNCTIONS,
     SYMMETRIC_MODES,
@@ -15,7 +15,6 @@ from claimgan.variants import (
     inverted_g_p_grads,
     symmetric_d_n_grads,
     symmetric_g_n_grads,
-    symmetric_losses,
     symmetric_values,
 )
 
@@ -41,24 +40,24 @@ class TestInvertedValues:
         rng = np.random.default_rng(0)
         x_p = rng.standard_normal((6, 2))
         z = rng.standard_normal((6, 2))
-        d_n = inverted_d_n_grads(m, x_p, z)[1]
-        # the second equation is the exact negation of the first
-        assert inverted_g_p_grads(m, x_p, z)[1] == -d_n
+        # the first equation is the negative pair's bracket on positive data;
+        # the second, its exact negation, is what grad-check's inverted:g_p
+        # scalar takes
+        assert inverted_d_n_grads(m, x_p, z)[1] == bracket_value(m.d_n, m.g_n, x_p, z)
         # the third uses the positive pair, so it matches gan_objective on it
         fake_p, _ = forward(m.g_p, z)
         dp_pos, _ = forward(m.d_p, x_p)
         dp_fake, _ = forward(m.d_p, fake_p)
         assert inverted_g_n_grads(m, x_p, z)[1] == gan_objective(dp_pos, dp_fake)
 
-    def test_generator_updates_are_literal_zero_grads(self):
+    def test_generator_updates_return_no_gradient(self):
         m = small_model(2)
         rng = np.random.default_rng(1)
         x_p = rng.standard_normal((4, 2))
         z = rng.standard_normal((4, 2))
-        for fn, net in ((inverted_g_p_grads, m.g_p), (inverted_g_n_grads, m.g_n)):
-            grads, _ = fn(m, x_p, z)
-            assert grads.shape == net.flat.shape
-            assert np.all(grads == 0)
+        # no column takes the second equation's value, so it is not computed
+        assert inverted_g_p_grads(m) == (None, None)
+        assert inverted_g_n_grads(m, x_p, z)[0] is None
 
     def test_d_n_grads_nonzero(self):
         m = small_model(3)
@@ -91,17 +90,6 @@ class TestSymmetricValues:
             symmetric_values([0.5], [0.5], "sideways")
         assert set(SYMMETRIC_MODES) == {"as-printed", "intended"}
 
-    def test_model_level_losses_agree(self):
-        m = small_model(4)
-        rng = np.random.default_rng(3)
-        x_p = rng.standard_normal((5, 2))
-        x_n = rng.standard_normal((5, 2))
-        z = rng.standard_normal((5, 2))
-        v1, v2 = symmetric_losses(m, x_p, x_n, z, "as-printed")
-        assert v1 == v2
-        w1, w2 = symmetric_losses(m, x_p, x_n, z, "intended")
-        assert w1 == v1 and w2 != w1
-
 
 class TestSymmetricGrads:
     def test_as_printed_second_pair_gets_nothing(self):
@@ -110,10 +98,13 @@ class TestSymmetricGrads:
         x_p = rng.standard_normal((4, 2))
         x_n = rng.standard_normal((4, 2))
         z = rng.standard_normal((4, 2))
-        gd, _ = symmetric_d_n_grads(m, x_p, x_n, z, "as-printed")
-        gg, _ = symmetric_g_n_grads(m, x_p, x_n, z, "as-printed")
-        for grads, net in ((gd, m.d_n), (gg, m.g_n)):
-            assert grads.shape == net.flat.shape and np.all(grads == 0)
+        gd, value = symmetric_d_n_grads(m, x_p, x_n, z, "as-printed")
+        assert gd is None
+        assert symmetric_g_n_grads(m, z, "as-printed") == (None, None)
+        # the second value function, as printed, is the positive pair's
+        dp_pos, _ = forward(m.d_p, x_p)
+        dp_fake, _ = forward(m.d_p, forward(m.g_p, z)[0])
+        assert value == symmetric_values(dp_pos, dp_fake, "as-printed")[1]
 
     def test_intended_second_pair_trains(self):
         m = small_model(5)
@@ -122,7 +113,7 @@ class TestSymmetricGrads:
         x_n = rng.standard_normal((4, 2))
         z = rng.standard_normal((4, 2))
         gd, _ = symmetric_d_n_grads(m, x_p, x_n, z, "intended")
-        gg, _ = symmetric_g_n_grads(m, x_p, x_n, z, "intended")
+        gg, _ = symmetric_g_n_grads(m, z, "intended")
         assert any(np.any(gw != 0) for gw, _ in m.d_n.unflatten(gd))
         assert any(np.any(gw != 0) for gw, _ in m.g_n.unflatten(gg))
 
