@@ -152,17 +152,10 @@ def grid_divisions(k: int, step: float) -> int:
 def simplex_grid(k: int, step: float) -> np.ndarray:
     """All mass vectors on the k-simplex with coordinates multiples of step."""
     n = grid_divisions(k, step)
-    points = []
-    # compositions of n into k nonnegative parts
-    for cuts in combinations_with_replacement(range(n + 1), k - 1):
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(n - prev)
-        points.append(parts)
-    return np.array(points, dtype=np.float64) / n
+    # compositions of n into k nonnegative parts: the gaps between k - 1 cuts
+    cuts = list(combinations_with_replacement(range(n + 1), k - 1))
+    cuts = np.array(cuts, dtype=np.int64).reshape(len(cuts), k - 1)
+    return np.diff(cuts, prepend=0, append=n, axis=1) / n
 
 
 @dataclass

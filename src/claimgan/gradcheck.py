@@ -2,13 +2,16 @@
 
 For each network, the analytic backprop gradient of its training objective
 is compared against central differences of the same scalar, over several
-randomly drawn small models and batches. Covers the main model (the two
-stated label-generator loss modes) and the inverted / symmetric variants.
-The "generator-labels" mode is not in the rule list: its gradient is
-checked in tests/test_trigan.py.
+randomly drawn small models and batches. The analytic side runs the rows of
+variants.STEP_TABLES that training runs: the main model's (g_y in the two
+stated loss modes) and the inverted / symmetric variants'. The
+"generator-labels" mode is not in the rule list: its row is checked in
+tests/test_trigan.py.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,9 +33,16 @@ def _random_instance(seed: int, sample_dim=3, noise_dim=2, hidden=4, batch=4):
     return model, x_p, x_n, x, z
 
 
+def table_row(variant: str, net: str) -> tuple:
+    """The row that updates `net` in variants.STEP_TABLES[variant]."""
+    (found,) = [r for r in variants.STEP_TABLES[variant] if r[0] == net]
+    return found
+
+
 def _rules(model: TriGanModel, x_p, x_n, x, z):
-    """(name, net, grads_fn, scalar_fn) for every update rule. grads_fn
-    returns None for a known-zero gradient.
+    """(name, variant, net, g_y mode, scalar_fn) for every update rule. Its
+    gradient is table_row(variant, net)'s, on these batches with z2 = z and
+    the g_y mode (None for rows that do not read it), or None if known zero.
 
     The scalars are recomputed forward-only from the loss definitions so the
     finite-difference side never touches the backprop code it is checking.
@@ -67,45 +77,24 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
     n_bracket = lambda: trigan.bracket_value(model.d_n, model.g_n, x_n, z)
 
     return [
-        ("d_p", model.d_p,
-         lambda: trigan.d_p_step_grads(model, x_p, z)[0],
-         lambda: model.pi_p * trigan.bracket_value(model.d_p, model.g_p, x_p, z)),
-        ("d_n", model.d_n,
-         lambda: trigan.d_n_step_grads(model, x_n, z)[0],
-         lambda: model.pi_n * trigan.bracket_value(model.d_n, model.g_n, x_n, z)),
-        ("d_y", model.d_y,
-         lambda: trigan.d_y_step_grads(model, x, z)[0], d_y_scalar),
-        ("g_p", model.g_p,
-         lambda: trigan.g_p_step_grads(model, z)[0], g_p_scalar),
-        ("g_n", model.g_n,
-         lambda: trigan.g_n_step_grads(model, z)[0], g_n_scalar),
-        ("g_y[alg1-line14]", model.g_y,
-         lambda: trigan.g_y_step_grads(model, z, "alg1-line14")[0],
-         lambda: g_y_scalar("alg1-line14")),
-        ("g_y[eq4]", model.g_y,
-         lambda: trigan.g_y_step_grads(model, z, "eq4")[0],
-         lambda: g_y_scalar("eq4")),
-        ("inverted:d_n", model.d_n,
-         lambda: variants.inverted_d_n_grads(model, x_p, z)[0],
+        ("d_p", "proposed", "d_p", None, lambda: model.pi_p * p_bracket()),
+        ("d_n", "proposed", "d_n", None, lambda: model.pi_n * n_bracket()),
+        ("d_y", "proposed", "d_y", None, d_y_scalar),
+        ("g_p", "proposed", "g_p", None, g_p_scalar),
+        ("g_n", "proposed", "g_n", None, g_n_scalar),
+        ("g_y[alg1-line14]", "proposed", "g_y", "alg1-line14", lambda: g_y_scalar("alg1-line14")),
+        ("g_y[eq4]", "proposed", "g_y", "eq4", lambda: g_y_scalar("eq4")),
+        ("inverted:d_n", "inverted", "d_n", None,
          lambda: trigan.bracket_value(model.d_n, model.g_n, x_p, z)),
-        ("inverted:g_p", model.g_p,
-         lambda: variants.inverted_g_p_grads(model)[0],
+        ("inverted:g_p", "inverted", "g_p", None,
          lambda: -trigan.bracket_value(model.d_n, model.g_n, x_p, z)),
-        ("inverted:g_n", model.g_n,
-         lambda: variants.inverted_g_n_grads(model, x_p, z)[0],
-         lambda: trigan.bracket_value(model.d_p, model.g_p, x_p, z)),
-        ("symmetric:d_p", model.d_p,
-         lambda: variants.symmetric_d_p_grads(model, x_p, z)[0], p_bracket),
-        ("symmetric:g_p", model.g_p,
-         lambda: variants.symmetric_g_p_grads(model, z)[0], p_bracket),
-        ("symmetric[as-printed]:d_n", model.d_n,
-         lambda: variants.symmetric_d_n_grads(model, x_p, x_n, z, "as-printed")[0], p_bracket),
-        ("symmetric[as-printed]:g_n", model.g_n,
-         lambda: variants.symmetric_g_n_grads(model, z, "as-printed")[0], p_bracket),
-        ("symmetric[intended]:d_n", model.d_n,
-         lambda: variants.symmetric_d_n_grads(model, x_p, x_n, z, "intended")[0], n_bracket),
-        ("symmetric[intended]:g_n", model.g_n,
-         lambda: variants.symmetric_g_n_grads(model, z, "intended")[0], n_bracket),
+        ("inverted:g_n", "inverted", "g_n", None, p_bracket),
+        ("symmetric:d_p", "symmetric", "d_p", None, p_bracket),
+        ("symmetric:g_p", "symmetric", "g_p", None, p_bracket),
+        ("symmetric[as-printed]:d_n", "symmetric", "d_n", None, p_bracket),
+        ("symmetric[as-printed]:g_n", "symmetric", "g_n", None, p_bracket),
+        ("symmetric[intended]:d_n", "symmetric-intended", "d_n", None, n_bracket),
+        ("symmetric[intended]:g_n", "symmetric-intended", "g_n", None, n_bracket),
     ]
 
 
@@ -116,8 +105,11 @@ def check_all_gradients(
     worst: dict[str, float] = {}
     for i in range(n_instances):
         model, x_p, x_n, x, z = _random_instance(base_seed + i)
-        for name, net, grads_fn, scalar_fn in _rules(model, x_p, x_n, x, z):
-            analytic = grads_fn()
+        batches = SimpleNamespace(x_p=x_p, x_n=x_n, x=x, z=z, z2=z)
+        for name, variant, net_name, mode, scalar_fn in _rules(model, x_p, x_n, x, z):
+            rule = table_row(variant, net_name)[1]
+            analytic = rule(model, SimpleNamespace(g_y_loss_mode=mode), batches)[0]
+            net = getattr(model, net_name)
             if analytic is None:
                 analytic = np.zeros_like(net.flat)
             numeric = numeric_gradients(net, scalar_fn, eps)

@@ -124,24 +124,31 @@ INVERTED_STEPS = (
 )
 
 
+# the positive pair's rows do not depend on the symmetric mode
+SYMMETRIC_D_P_ROW = ("d_p", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), "loss_pos")
+SYMMETRIC_G_P_ROW = ("g_p", lambda m, cfg, b: symmetric_g_p_grads(m, b.z2), None)
+
+
 def _symmetric_steps(mode: str) -> tuple:
     return (
-        ("d_p", lambda m, cfg, b: symmetric_d_p_grads(m, b.x_p, b.z), "loss_pos"),
+        SYMMETRIC_D_P_ROW,
         ("d_n", lambda m, cfg, b: symmetric_d_n_grads(m, b.x_p, b.x_n, b.z, mode), "loss_neg"),
         trigan.D_Y_ROW,
-        ("g_p", lambda m, cfg, b: symmetric_g_p_grads(m, b.z2), None),
+        SYMMETRIC_G_P_ROW,
         ("g_n", lambda m, cfg, b: symmetric_g_n_grads(m, b.z2, mode), None),
         trigan.G_Y_ROW,
     )
 
 
-# variant name -> trigan.train step_fn; every variant but "baseline"
-STEP_FUNCTIONS = {
-    "proposed": trigan.proposed_step,
-    "inverted": partial(trigan.run_steps, INVERTED_STEPS),
-    "symmetric": partial(trigan.run_steps, _symmetric_steps("as-printed")),
-    "symmetric-intended": partial(trigan.run_steps, _symmetric_steps("intended")),
+# variant name -> the rows training runs and gradcheck checks; every variant but "baseline"
+STEP_TABLES = {
+    "proposed": trigan.PROPOSED_STEPS,
+    "inverted": INVERTED_STEPS,
+    "symmetric": _symmetric_steps("as-printed"),
+    "symmetric-intended": _symmetric_steps("intended"),
 }
+# variant name -> trigan.train step_fn
+STEP_FUNCTIONS = {name: partial(trigan.run_steps, table) for name, table in STEP_TABLES.items()}
 
 
 # --- supervised baseline ----------------------------------------------------

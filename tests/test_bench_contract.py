@@ -27,7 +27,7 @@ import claimgan.cli  # noqa: F401 - loads every module the tracer patches
 from claimgan import metrics, trigan
 from claimgan.data import gaussian_mixture
 from claimgan.nets import forward, make_optimizer, net_init
-from claimgan.variants import STEP_FUNCTIONS
+from claimgan.variants import STEP_FUNCTIONS, STEP_TABLES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +102,10 @@ WORK_PER_STEP = {
     ("symmetric", "alg1-line14"): (17, 7, 3),
     ("symmetric-intended", "alg1-line14"): (19, 11, 5),
 }
+
+
+def test_every_variant_declares_its_work_per_step():
+    assert {variant for variant, _ in WORK_PER_STEP} == set(STEP_TABLES)
 
 
 def test_proposed_forwards_per_step_match_the_benchmark(monkeypatch):

@@ -178,6 +178,8 @@ class TestSimplexGrid:
         assert np.allclose(g.sum(axis=1), 1.0)
         # k=3, n=4: C(6,2)=15 compositions
         assert simplex_grid(3, 0.25).shape == (15, 3)
+        # k=1 has no cuts: its one point is all the mass on one outcome
+        assert simplex_grid(1, 0.25).tolist() == [[1.0]]
 
     def test_contains_corners(self):
         g = simplex_grid(3, 0.5)

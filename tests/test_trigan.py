@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from claimgan.nets import (
     numeric_gradients,
 )
 from claimgan.trigan import (
+    G_Y_ROW,
     NET_NAMES,
     PROPOSED_STEPS,
     TrainConfig,
@@ -334,7 +336,9 @@ class TestGradientRules:
                 u_n = forward(model.g_y, forward(model.g_n, z)[0])[0]
                 return g_y_loss(None, None, model.pi_p, model.pi_n, "generator-labels", u_p, u_n)
 
-            analytic, _ = g_y_step_grads(model, z, "generator-labels")
+            # the row training runs, as gradcheck runs the other g_y modes
+            cfg = TrainConfig(iterations=0, g_y_loss_mode="generator-labels")
+            analytic, _ = G_Y_ROW[1](model, cfg, SimpleNamespace(z2=z))
             numeric = numeric_gradients(model.g_y, scalar)
             assert max_relative_error(analytic, numeric) <= 1e-4, f"instance {seed}"
 

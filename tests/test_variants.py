@@ -8,6 +8,7 @@ from claimgan.nets import forward, make_optimizer
 from claimgan.trigan import TrainConfig, bracket_value, build_model, gan_objective, train
 from claimgan.variants import (
     STEP_FUNCTIONS,
+    STEP_TABLES,
     SYMMETRIC_MODES,
     baseline_train,
     inverted_d_n_grads,
@@ -151,9 +152,9 @@ class TestTrainVariant:
                 assert np.array_equal(la.weight, lb.weight)
         assert not np.array_equal(m.d_n.layers[0].weight, trained.d_n.layers[0].weight)
 
-    @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
+    @pytest.mark.parametrize("kind", sorted(STEP_TABLES))
     def test_step_rows_name_telemetry_columns(self, kind):
-        for _, _, column in STEP_FUNCTIONS[kind].args[0]:
+        for _, _, column in STEP_TABLES[kind]:
             assert column is None or column in CSV_COLUMNS
 
     @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
