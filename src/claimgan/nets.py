@@ -29,19 +29,29 @@ CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return np.minimum(np.maximum(s, PROB_EPS), 1.0 - PROB_EPS)
+    # where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), then clamped; worked
+    # in place on its two fresh arrays, so z is only read
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    np.maximum(s, PROB_EPS, out=s)
+    return np.minimum(s, 1.0 - PROB_EPS, out=s)
 
 
 # activation name -> (activation of z, done in place where numpy can; its
-# derivative from the output alone). `backward` reads no pre-activation, so
-# `forward` keeps none.
+# derivative from the output alone, always a fresh array). `backward` reads
+# no pre-activation, so `forward` keeps none.
 ACTIVATIONS = {
     # out > 0 exactly where z > 0, for NaN and signed zeros too. The
-    # derivative is a float mask: multiplying by a bool mask is ~10% slower
-    # (mixed-dtype loop)
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda out: (out > 0).astype(np.float64)),
+    # derivative is that comparison written straight into a float array:
+    # multiplying by a bool mask is ~10% slower (mixed-dtype loop)
+    "relu": (
+        lambda z: np.maximum(z, 0.0, out=z),
+        lambda out: np.greater(out, 0.0, out=np.empty_like(out)),
+    ),
     "tanh": (lambda z: np.tanh(z, out=z), lambda out: 1.0 - out * out),
     # out is the clamped value; inside the clamp the derivative is exact, at
     # the clamp it is a vanishing surrogate.
@@ -68,6 +78,11 @@ class NeuralNet:
     whose weight and bias are views into `flat`; the given layers are not touched."""
     layers: list[Layer]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    # per layer, resolved once: (weight, weight.T, bias, activation,
+    # derivative, start, mid, end), with the weight at flat[start:mid] and the
+    # bias at flat[mid:end] of any vector laid out like `flat`. `flat` is only
+    # ever updated in place, so the views stay valid.
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for l in self.layers:
@@ -75,19 +90,20 @@ class NeuralNet:
                 raise ValueError(f"unknown activation {l.activation!r}")
         arrays = [a.ravel() for l in self.layers for a in (l.weight, l.bias)]
         self.flat = np.concatenate(arrays, dtype=np.float64)
-        pairs = zip(self.unflatten(self.flat), self.layers)
-        self.layers = [Layer(w, b, l.activation) for (w, b), l in pairs]
+        layers, plan, start = [], [], 0
+        for l in self.layers:
+            mid = start + l.weight.size
+            end = mid + l.bias.size
+            w, b = self.flat[start:mid].reshape(l.weight.shape), self.flat[mid:end]
+            layers.append(Layer(w, b, l.activation))
+            plan.append((w, w.T, b, *ACTIVATIONS[l.activation], start, mid, end))
+            start = end
+        self.layers, self.plan = layers, tuple(plan)
 
     def unflatten(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weight, bias) views into `vec`, a vector laid out like
         `flat`: each layer's weight in C order, then its bias."""
-        views, start = [], 0
-        for l in self.layers:
-            mid = start + l.weight.size
-            end = mid + l.bias.size
-            views.append((vec[start:mid].reshape(l.weight.shape), vec[mid:end]))
-            start = end
-        return views
+        return [(vec[s:m].reshape(w.shape), vec[m:e]) for w, _, _, _, _, s, m, e in self.plan]
 
     @property
     def input_dim(self) -> int:
@@ -172,10 +188,10 @@ def forward(
         raise ValueError("non-finite input batch")
     cache = [] if keep_cache else None
     h = batch
-    for layer in net.layers:
-        z = h @ layer.weight.T  # a fresh array, so activating in place is safe
-        z += layer.bias
-        out = ACTIVATIONS[layer.activation][0](z)
+    for _, weight_t, bias, activate, *_ in net.plan:
+        z = h @ weight_t  # a fresh array, so activating in place is safe
+        z += bias
+        out = activate(z)
         if keep_cache:
             cache.append((h, out))
         h = out
@@ -204,18 +220,17 @@ def backward(
             f"output_grad shape {output_grad.shape} != output shape {cache[-1][1].shape}"
         )
     grads = np.empty_like(net.flat) if param_grads else None
-    views = net.unflatten(grads) if param_grads else None
     delta = output_grad
-    for k in range(len(net.layers) - 1, -1, -1):
+    for k in range(len(net.plan) - 1, -1, -1):
         h_in, out = cache[k]
-        layer = net.layers[k]
-        dz = delta * ACTIVATIONS[layer.activation][1](out)
+        weight, _, _, _, derivative, start, mid, end = net.plan[k]
+        dz = derivative(out)  # fresh, so neither output_grad nor the cache is written
+        dz *= delta
         if param_grads:
-            w_view, b_view = views[k]
-            np.matmul(dz.T, h_in, out=w_view)
-            dz.sum(axis=0, out=b_view)
+            np.matmul(dz.T, h_in, out=grads[start:mid].reshape(weight.shape))
+            np.add.reduce(dz, axis=0, out=grads[mid:end])
         if k or input_grad:
-            delta = dz @ layer.weight
+            delta = dz @ weight
     return grads, (delta if input_grad else None)
 
 
@@ -288,16 +303,26 @@ def optimizer_step(
     if state.algorithm == "sgd":
         net.flat += sign * state.lr * grads
         return
-    # adam with bias correction, one vector op per term over all parameters
+    # adam with bias correction, one vector op per term over all parameters,
+    # in place on two scratch vectors a and b but in the order of the
+    # formula, so with its bits: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    # flat += sign*lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    a = np.multiply(grads, 1 - b1)
     state.m *= b1
-    state.m += (1 - b1) * grads
+    state.m += a
+    np.multiply(grads, 1 - b2, out=a)
+    a *= grads
     state.v *= b2
-    state.v += (1 - b2) * grads * grads
-    m_hat = state.m / (1 - b1**t)
-    v_hat = state.v / (1 - b2**t)
-    net.flat += sign * state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.v += a
+    np.divide(state.m, 1 - b1**t, out=a)
+    b = np.divide(state.v, 1 - b2**t)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a *= sign * state.lr
+    a /= b
+    net.flat += a
 
 
 def checkpoint_save(nets: dict[str, NeuralNet], path) -> None:

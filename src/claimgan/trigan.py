@@ -55,9 +55,15 @@ def _probs(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size == 0:
         raise ValueError(f"empty batch for {name}")
-    if ((v <= 0.0) | (v >= 1.0)).any():
+    if not ((v > 0.0) & (v < 1.0)).all():  # False for NaN too
         raise ValueError(f"{name} entries must lie strictly inside (0, 1)")
     return v
+
+
+def _mean(x: np.ndarray):
+    """x.mean() to the last bit (numpy's mean is this sum and division),
+    without its per-call overhead."""
+    return x.sum() / x.size
 
 
 def gan_objective(d_real, d_fake) -> float:
@@ -65,7 +71,7 @@ def gan_objective(d_real, d_fake) -> float:
     the per-class discriminators ascend."""
     d_real = _probs(d_real, "d_real")
     d_fake = _probs(d_fake, "d_fake")
-    return float(np.log(d_real).mean() + np.log1p(-d_fake).mean())
+    return float(_mean(np.log(d_real)) + _mean(np.log1p(-d_fake)))
 
 
 def d_y_objective(d_on_real_mixed, d_on_gp, d_on_gn, pi_p: float, pi_n: float) -> float:
@@ -75,9 +81,9 @@ def d_y_objective(d_on_real_mixed, d_on_gp, d_on_gn, pi_p: float, pi_n: float) -
     d_gp = _probs(d_on_gp, "d_on_gp")
     d_gn = _probs(d_on_gn, "d_on_gn")
     return float(
-        np.log(d_real).mean()
-        + pi_p * np.log1p(-d_gp).mean()
-        + pi_n * np.log1p(-d_gn).mean()
+        _mean(np.log(d_real))
+        + pi_p * _mean(np.log1p(-d_gp))
+        + pi_n * _mean(np.log1p(-d_gn))
     )
 
 
@@ -85,7 +91,7 @@ def g_p_loss(d_p_on_fake, d_y_on_fake, pi_p: float) -> float:
     """pi_p * mean(-log D_p(Gp(z)) - log D_y(Gp(z))): non-saturating form."""
     d_p = _probs(d_p_on_fake, "d_p_on_fake")
     d_y = _probs(d_y_on_fake, "d_y_on_fake")
-    return float(pi_p * (-np.log(d_p) - np.log(d_y)).mean())
+    return float(pi_p * _mean(-np.log(d_p) - np.log(d_y)))
 
 
 def g_n_loss(d_n_on_fake, d_y_on_fake, pi_n: float) -> float:
@@ -126,15 +132,15 @@ def g_y_loss(
         t_p = _probs(d_y_on_gp, "d_y_on_gp")
         t_n = _probs(d_y_on_gn, "d_y_on_gn")
     if mode == "alg1-line14":
-        return float(-pi_p * np.log(t_p).mean() - pi_n * np.log(t_n).mean())
+        return float(-pi_p * _mean(np.log(t_p)) - pi_n * _mean(np.log(t_n)))
     if g_y_on_gp is None or g_y_on_gn is None:
         raise ValueError(f"{mode} mode requires g_y outputs on both generated batches")
     u_p = _probs(g_y_on_gp, "g_y_on_gp")
     u_n = _probs(g_y_on_gn, "g_y_on_gn")
     if mode == "generator-labels":
-        return float(-pi_p * np.log(u_p).mean() - pi_n * np.log1p(-u_n).mean())
-    ll = pi_p * (t_p * np.log(u_p) + (1.0 - t_p) * np.log1p(-t_p)).mean()
-    ll += pi_n * (t_n * np.log(u_n) + (1.0 - t_n) * np.log1p(-t_n)).mean()
+        return float(-pi_p * _mean(np.log(u_p)) - pi_n * _mean(np.log1p(-u_n)))
+    ll = pi_p * _mean(t_p * np.log(u_p) + (1.0 - t_p) * np.log1p(-t_p))
+    ll += pi_n * _mean(t_n * np.log(u_n) + (1.0 - t_n) * np.log1p(-t_n))
     return float(-ll)
 
 
@@ -265,21 +271,27 @@ def net_grads(net: NeuralNet, terms) -> tuple[ParamGrads, list[np.ndarray]]:
     total = None
     for (out, cache), (_, rule) in zip(runs, terms):
         grads, _ = backward(net, cache, rule(out, out.shape[0]), input_grad=False)
-        total = grads if total is None else total + grads
+        if total is None:
+            total = grads  # fresh from backward, so the sum can go into it
+        else:
+            total += grads
     return total, [out for out, _ in runs]
 
 
-def generator_grads(gen: NeuralNet, z, judges) -> tuple[ParamGrads, list[np.ndarray]]:
+def generator_grads(gen: NeuralNet, z, judges) -> ParamGrads:
     """Parameter gradients of `gen` through (judge net, rule) terms on gen(z),
-    summed left to right at gen's output; also returns each judge's output."""
+    summed left to right at gen's output."""
     fake, cache = forward(gen, z)
     runs = [forward(judge, fake) for judge, _ in judges]
     into = None
     for (out, judge_cache), (judge, rule) in zip(runs, judges):
         _, g = backward(judge, judge_cache, rule(out, out.shape[0]), param_grads=False)
-        into = g if into is None else into + g
+        if into is None:
+            into = g  # fresh from backward, so the sum can go into it
+        else:
+            into += g
     grads, _ = backward(gen, cache, into, input_grad=False)
-    return grads, [out for out, _ in runs]
+    return grads
 
 
 def bracket_grads(disc: NeuralNet, gen: NeuralNet, real, z) -> tuple[ParamGrads, float]:
@@ -296,7 +308,8 @@ def bracket_value(disc: NeuralNet, gen: NeuralNet, real, z) -> float:
 
 # --- per-update gradient rules -------------------------------------------
 #
-# Each returns (flat grads for the net being updated, objective/loss value).
+# Each returns (flat grads for the net being updated, the objective or loss
+# value its row's telemetry column takes, or None when the row has none).
 # Discriminator rules carry the prior factor their update line prints;
 # d_y's printed leading prior is dropped as a typo (it would rescale the
 # whole ascent direction by pi_p for no stated reason).
@@ -304,12 +317,14 @@ def bracket_value(disc: NeuralNet, gen: NeuralNet, real, z) -> float:
 
 def d_p_step_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
     grads, value = bracket_grads(model.d_p, model.g_p, x_p, z)
-    return model.pi_p * grads, value
+    grads *= model.pi_p
+    return grads, value
 
 
 def d_n_step_grads(model: TriGanModel, x_n, z) -> tuple[ParamGrads, float]:
     grads, value = bracket_grads(model.d_n, model.g_n, x_n, z)
-    return model.pi_n * grads, value
+    grads *= model.pi_n
+    return grads, value
 
 
 def d_y_step_grads(model: TriGanModel, x, z) -> tuple[ParamGrads, float]:
@@ -320,16 +335,16 @@ def d_y_step_grads(model: TriGanModel, x, z) -> tuple[ParamGrads, float]:
     return grads, d_y_objective(d_real, d_gp, d_gn, model.pi_p, model.pi_n)
 
 
-def g_p_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
+def g_p_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:
+    # gradients of g_p_loss; no column takes its value
     rule = log_grad(-model.pi_p)
-    grads, outs = generator_grads(model.g_p, z, [(model.d_p, rule), (model.d_y, rule)])
-    return grads, g_p_loss(*outs, model.pi_p)
+    return generator_grads(model.g_p, z, [(model.d_p, rule), (model.d_y, rule)]), None
 
 
-def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, float]:
+def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:
+    # gradients of g_n_loss; no column takes its value
     rule = log_grad(-model.pi_n)
-    grads, outs = generator_grads(model.g_n, z, [(model.d_n, rule), (model.d_y, rule)])
-    return grads, g_n_loss(*outs, model.pi_n)
+    return generator_grads(model.g_n, z, [(model.d_n, rule), (model.d_y, rule)]), None
 
 
 def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None, float]:

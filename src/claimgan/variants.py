@@ -91,7 +91,7 @@ def symmetric_d_p_grads(model: TriGanModel, x_p, z) -> tuple[ParamGrads, float]:
 
 def _saturating_grads(gen: NeuralNet, disc: NeuralNet, z) -> tuple[ParamGrads, None]:
     """gen's gradients of gan_objective(disc(real), disc(gen(z))), which it minimizes."""
-    return trigan.generator_grads(gen, z, [(disc, trigan.log1m_grad())])[0], None
+    return trigan.generator_grads(gen, z, [(disc, trigan.log1m_grad())]), None
 
 
 def symmetric_g_p_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:

@@ -1,8 +1,9 @@
 """Process footprint: importing the package, and nearest pairing of 64-D
 data, load no scipy, and training steps do not page-fault their
 temporaries back in from the OS, each measured in a fresh interpreter; the
-corpus embedding, a generator's forward pass, the similarity report and an
-evaluating training step allocate little beyond their inputs and outputs."""
+corpus embedding, a generator's forward pass, an Adam step, the similarity
+report and an evaluating training step allocate little beyond their inputs
+and outputs."""
 
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import claimgan
 from claimgan import data, metrics, trigan
-from claimgan.nets import forward
+from claimgan.nets import forward, make_optimizer, optimizer_step
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(claimgan.__file__)))
 
@@ -132,6 +133,16 @@ def test_cache_free_generator_forward_peaks_below_two_and_a_half_outputs():
     z = np.random.default_rng(0).standard_normal((3000, 8))
     (out, _), peak = _traced_peak(lambda: forward(g_p, z, keep_cache=False))
     assert peak <= 2.5 * out.nbytes, peak / out.nbytes
+
+
+def test_adam_step_peaks_below_two_and_a_half_parameter_vectors():
+    # the update runs in place on two scratch vectors, about 2.03x; a
+    # fresh array per term, as in m / (1 - b1^t), would take about 5x
+    g_p = trigan.build_model(2, 8, 0.5, 0.5, 0, hidden=64).g_p  # the toy generator
+    state = make_optimizer(g_p, "adam", 1e-3)
+    grads = np.random.default_rng(0).standard_normal(g_p.flat.size)
+    _, peak = _traced_peak(lambda: optimizer_step(g_p, grads, state, "descend"))
+    assert peak <= 2.5 * g_p.flat.nbytes, peak / g_p.flat.nbytes
 
 
 def test_similarity_report_peaks_below_one_and_a_half_generated_arrays():

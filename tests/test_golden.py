@@ -32,6 +32,19 @@ GOLDEN = {
         "telemetry.csv": "2079f3c01ca48d7a884fa452e0feb7dabda67df435da7968026b1df751d8d2c2",
         "checkpoint.json": "38e1c0ddcfa56407555a17ab6697a00813717e6755d159856e6fb1f8a0020597",
     },
+    # a batch that is not a power of two: dividing by 64 is exact, so a
+    # regrouped mean such as (pi * s) / n for pi * (s / n) keeps the bytes
+    # of the batch-64 cases but not of these
+    "alg1-line14-batch37": {
+        "config": {"eval_every": 0, "batch_size": 37},
+        "telemetry.csv": "4319ca5dc9af8a264179d8ee27597160b963278322e1bf5cfd1dc2e31c2a6371",
+        "checkpoint.json": "f1190fabda193f048174e51099411b326545ec6de8bef5bac01b7fe1eeb06828",
+    },
+    "eq4-batch37": {
+        "config": {"g_y_loss_mode": "eq4", "eval_every": 100, "batch_size": 37},
+        "telemetry.csv": "b4ed64f8d2a03e49a876b714ce5a90f41153ee3d8066df61a5b4c06510947ca9",
+        "checkpoint.json": "83feb076557428f061a8300b10ee57edc56d208782a4940f2a478e67c9090e89",
+    },
     "generator-labels": {
         "config": {"g_y_loss_mode": "generator-labels", "eval_every": 100},
         "telemetry.csv": "356153dcc0c261a81f2dce0d62c18a132fd052348497cd67d8f2ab3d11c59cb4",

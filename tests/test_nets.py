@@ -377,6 +377,8 @@ class TestFlatStorage:
         [("adam", "descend"), ("adam", "ascend"), ("sgd", "descend"), ("sgd", "ascend")],
     )
     def test_flat_update_bit_identical_to_per_array_reference(self, algorithm, direction):
+        # to the bit, signed zeros included: the flat update runs in place
+        # on scratch vectors, the reference on fresh arrays per term
         net = net_init([3, 6, 6, 1], ["relu", "tanh", "sigmoid"], 4)
         params = [a.copy() for l in net.layers for a in (l.weight, l.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in params]
@@ -385,11 +387,17 @@ class TestFlatStorage:
         rng = np.random.default_rng(5)
         for step in range(1, 51):
             grads = rng.standard_normal(net.flat.size)
+            grads[:3] = (0.0, -0.0, 5e-324)
+            given = grads.tobytes()
             optimizer_step(net, grads, state, direction)
+            assert grads.tobytes() == given
             per_array = [a for pair in net.unflatten(grads) for a in pair]
             reference_step(params, per_array, moments, step, algorithm, 0.01, sign)
             got = [a for l in net.layers for a in (l.weight, l.bias)]
-            assert all(np.array_equal(a, b) for a, b in zip(got, params)), step
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, params)), step
+            if algorithm == "adam":
+                assert state.m.tobytes() == b"".join(m.tobytes() for m, _ in moments)
+                assert state.v.tobytes() == b"".join(v.tobytes() for _, v in moments)
         assert state.step == 50
 
     def test_backward_fills_the_flat_layout_like_a_per_layer_reference(self):
@@ -531,3 +539,112 @@ def test_numeric_gradients_matches_simple_analytic():
     ((dw, db),) = net.unflatten(grads)
     assert dw[0, 0] == pytest.approx(6 * 7.0, rel=1e-6)
     assert db[0] == pytest.approx(2 * 7.0, rel=1e-6)
+
+
+# --- bit identity with the plain formulas ----------------------------------
+#
+# forward and backward work in place on their own temporaries, but must give
+# the bits of the plain out-of-place formulas below: the same operations on
+# the same operands in the same order. The optimizers are held to
+# reference_step the same way.
+
+
+def reference_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.minimum(np.maximum(s, PROB_EPS), 1.0 - PROB_EPS)
+
+
+REFERENCE_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda out: (out > 0).astype(np.float64)),
+    "tanh": (np.tanh, lambda out: 1.0 - out * out),
+    "sigmoid": (reference_sigmoid, lambda out: out * (1.0 - out)),
+    "identity": (lambda z: z, np.ones_like),
+}
+
+
+def reference_forward(net, x):
+    h, cache = x, []
+    for layer in net.layers:
+        out = REFERENCE_ACTIVATIONS[layer.activation][0](h @ layer.weight.T + layer.bias)
+        cache.append((h, out))
+        h = out
+    return h, cache
+
+
+def reference_backward(net, cache, output_grad):
+    grads = np.empty_like(net.flat)
+    delta = output_grad
+    for k in range(len(net.layers) - 1, -1, -1):
+        h_in, out = cache[k]
+        layer = net.layers[k]
+        dz = delta * REFERENCE_ACTIVATIONS[layer.activation][1](out)
+        w_view, b_view = net.unflatten(grads)[k]
+        np.matmul(dz.T, h_in, out=w_view)
+        dz.sum(axis=0, out=b_view)
+        delta = dz @ layer.weight
+    return grads, delta
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# pre-activations on both sides of every kink and clamp: signed zeros, the
+# smallest subnormals, and values where the sigmoid clamps or exp underflows
+EDGE_Z = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 3.0, -3.0,
+    16.0, -16.0, 16.2, -16.2, 17.0, -17.0, 40.0, -40.0, 745.0, -745.0, 800.0, -800.0,
+])
+
+
+class TestSameBitsAsTheReferenceFormulas:
+    @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+    def test_activation_and_derivative_at_the_edges(self, act):
+        activate, derivative = ACTIVATIONS[act]
+        ref_activate, ref_derivative = REFERENCE_ACTIVATIONS[act]
+        z = EDGE_Z.reshape(-1, 2)
+        out = activate(z.copy())
+        assert bits(out) == bits(ref_activate(z.copy()))
+        before = bits(out)
+        d = derivative(out)
+        assert bits(d) == bits(ref_derivative(out))
+        assert bits(out) == before and not np.shares_memory(d, out)
+
+    def test_sigmoid_reads_its_input_only(self):
+        z = EDGE_Z.copy()
+        ACTIVATIONS["sigmoid"][0](z)
+        assert bits(z) == bits(EDGE_Z)
+
+    @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("batch", [1, 3, 37])
+    def test_forward_and_backward(self, act, batch):
+        # the activation on both hidden layers, then on the output layer;
+        # the batch's rows hold exact zeros of both signs
+        net = net_init([4, 6, 5, 3], [act, act, act], 11)
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, 4))
+        x[:, 0] = 0.0
+        x[0, 1] = -0.0
+        g = rng.standard_normal((batch, 3))
+        out, cache = forward(net, x)
+        ref_out, ref_cache = reference_forward(net, x)
+        assert bits(out) == bits(ref_out)
+        for (h, o), (ref_h, ref_o) in zip(cache, ref_cache):
+            assert bits(h) == bits(ref_h) and bits(o) == bits(ref_o)
+        grads, input_grad = backward(net, cache, g)
+        ref_grads, ref_input_grad = reference_backward(net, ref_cache, g)
+        assert bits(grads) == bits(ref_grads)
+        assert bits(input_grad) == bits(ref_input_grad)
+
+    @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+    def test_backward_writes_neither_output_grad_nor_the_cache(self, act):
+        net = net_init([3, 4, 2], [act, act], 12)
+        x = np.random.default_rng(13).standard_normal((5, 3))
+        out, cache = forward(net, x)
+        g = np.random.default_rng(14).standard_normal(out.shape)
+        before = [bits(g)] + [bits(a) for pair in cache for a in pair]
+        grads, input_grad = backward(net, cache, g)
+        assert [bits(g)] + [bits(a) for pair in cache for a in pair] == before
+        for a in [g, *(a for pair in cache for a in pair)]:
+            assert not np.shares_memory(grads, a) and not np.shares_memory(input_grad, a)

@@ -128,6 +128,84 @@ class TestGeneratorLosses:
             g_y_loss([0.5], [0.5], 0.5, 0.5, "eq5")
 
 
+# priors whose products and quotients are not exact in binary
+PI_P, PI_N = 0.7289, 0.2711
+
+
+def _soft_target(t, u):
+    return (t * np.log(u) + (1.0 - t) * np.log1p(-t)).mean()
+
+
+# name -> (number of probability vectors, the function on them, its plain
+# formula with np.mean); every vector argument is a probability vector
+LOSSES = {
+    "gan_objective": (
+        2,
+        lambda p: gan_objective(*p),
+        lambda p: np.log(p[0]).mean() + np.log1p(-p[1]).mean(),
+    ),
+    "d_y_objective": (
+        3,
+        lambda p: d_y_objective(*p, PI_P, PI_N),
+        lambda p: np.log(p[0]).mean()
+        + PI_P * np.log1p(-p[1]).mean()
+        + PI_N * np.log1p(-p[2]).mean(),
+    ),
+    "g_p_loss": (
+        2,
+        lambda p: g_p_loss(*p, PI_P),
+        lambda p: PI_P * (-np.log(p[0]) - np.log(p[1])).mean(),
+    ),
+    "g_n_loss": (
+        2,
+        lambda p: g_n_loss(*p, PI_N),
+        lambda p: PI_N * (-np.log(p[0]) - np.log(p[1])).mean(),
+    ),
+    "g_y_loss[alg1-line14]": (
+        2,
+        lambda p: g_y_loss(*p, PI_P, PI_N, "alg1-line14"),
+        lambda p: -PI_P * np.log(p[0]).mean() - PI_N * np.log(p[1]).mean(),
+    ),
+    "g_y_loss[eq4]": (
+        4,
+        lambda p: g_y_loss(p[0], p[1], PI_P, PI_N, "eq4", p[2], p[3]),
+        lambda p: -(PI_P * _soft_target(p[0], p[2]) + PI_N * _soft_target(p[1], p[3])),
+    ),
+    "g_y_loss[generator-labels]": (
+        2,
+        lambda p: g_y_loss(None, None, PI_P, PI_N, "generator-labels", *p),
+        lambda p: -PI_P * np.log(p[0]).mean() - PI_N * np.log1p(-p[1]).mean(),
+    ),
+}
+
+
+class TestLossArithmetic:
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @pytest.mark.parametrize("length", [1, 3, 37, 100])
+    def test_same_bits_as_the_np_mean_formula(self, name, length):
+        count, loss, formula = LOSSES[name]
+        rng = np.random.default_rng(length)
+        for shape in ((length,), (length, 1)):  # nets give (m, 1) columns
+            for _ in range(5):
+                p = [rng.uniform(1e-6, 1 - 1e-6, shape) for _ in range(count)]
+                given = [a.tobytes() for a in p]
+                value = loss(p)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == np.float64(formula(p)).tobytes()
+                assert [a.tobytes() for a in p] == given
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_a_nan_probability_is_rejected(self, name):
+        # every NaN comparison is False, so a test for bad entries that
+        # looks for one would let it through
+        count, loss, _ = LOSSES[name]
+        for i in range(count):
+            p = [np.array([0.5])] * count
+            p[i] = np.array([0.5, np.nan])
+            with pytest.raises(ValueError, match="strictly inside"):
+                loss(p)
+
+
 class TestModel:
     def test_build_model_shapes(self):
         m = build_model(sample_dim=3, noise_dim=2, pi_p=0.6, pi_n=0.4, seed=0, hidden=8)
