@@ -50,7 +50,7 @@ class ClaimRecord:
     label: int  # LABEL_SUPPORTED / LABEL_REFUTED
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
     features: np.ndarray  # (n, dim)
     labels: np.ndarray  # (n,) of {0, 1}
@@ -225,14 +225,6 @@ def check_priors(pi_p: float, pi_n: float) -> None:
     """Reject priors that are not a probability vector (is_distribution)."""
     if not is_distribution((pi_p, pi_n)):
         raise ValueError(f"priors ({pi_p}, {pi_n}) must be nonnegative and sum to 1")
-
-
-def prior_from_counts(n_supported: int, n_refuted: int) -> tuple[float, float]:
-    """Priors straight from label counts (both must be positive)."""
-    if n_supported <= 0 or n_refuted <= 0:
-        raise ValueError("both counts must be positive")
-    total = n_supported + n_refuted
-    return n_supported / total, n_refuted / total
 
 
 def split(

@@ -59,7 +59,7 @@ def optimal_t_ternary(a: float, b: float, c: float) -> float:
     return a / (a + (b + c))
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimalDiscriminators:
     d_p: np.ndarray
     d_n: np.ndarray
@@ -158,7 +158,7 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
     return np.diff(cuts, prepend=0, append=n, axis=1) / n
 
 
-@dataclass
+@dataclass(eq=False)
 class EquilibriumReport:
     minimizer_gp: np.ndarray
     minimizer_gn: np.ndarray

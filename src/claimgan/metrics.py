@@ -199,7 +199,6 @@ class AggregateResult:
     n_runs: int
     mean: dict[str, float]
     std: dict[str, float]  # sample std (ddof=1); 0 for single runs
-    single_run: bool
 
 
 def aggregate(per_run_metrics: list[dict[str, float]]) -> AggregateResult:
@@ -216,7 +215,7 @@ def aggregate(per_run_metrics: list[dict[str, float]]) -> AggregateResult:
         vals = np.array([rec[k] for rec in per_run_metrics], dtype=np.float64)
         mean[k] = float(vals.mean())
         std[k] = 0.0 if n == 1 else float(vals.std(ddof=1))
-    return AggregateResult(n_runs=n, mean=mean, std=std, single_run=(n == 1))
+    return AggregateResult(n_runs=n, mean=mean, std=std)
 
 
 def similarity_report(

@@ -27,6 +27,13 @@ OPTIMIZERS = ("sgd", "adam")
 
 CHECKPOINT_VERSION = 1
 
+# The most parameters net_init builds: 2**24 float64s are 128 MiB, and
+# training holds four vectors that long per net (parameters, gradient, Adam's
+# two moments). It admits hidden widths up to about 4000, and refuses a
+# mistyped width before any layer is drawn, instead of drawing gigabytes of
+# weights first and failing (or swapping) on a later layer.
+MAX_PARAMETERS = 1 << 24
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), then clamped; worked
@@ -64,25 +71,27 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file cannot be loaded."""
 
 
-@dataclass
+# The array-holding records compare by identity (eq=False): a generated
+# __eq__ over arrays raises on the truth value of an elementwise comparison.
+@dataclass(eq=False)
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str
 
 
-@dataclass
+@dataclass(eq=False)
 class NeuralNet:
     """MLP whose parameters are one contiguous float64 vector, `flat`. Construction
     copies the given layers' arrays into it and replaces the layers with new ones
     whose weight and bias are views into `flat`; the given layers are not touched."""
     layers: list[Layer]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
     # per layer, resolved once: (weight, weight.T, bias, activation,
     # derivative, start, mid, end), with the weight at flat[start:mid] and the
     # bias at flat[mid:end] of any vector laid out like `flat`. `flat` is only
     # ever updated in place, so the views stay valid.
-    plan: tuple = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for l in self.layers:
@@ -134,6 +143,9 @@ def net_init(layer_dims: list[int], activations: list[str], seed: int) -> Neural
         raise ValueError(
             f"{len(layer_dims) - 1} layers but {len(activations)} activations"
         )
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
+    if n_params > MAX_PARAMETERS:
+        raise ValueError(f"dims {layer_dims} give {n_params} parameters, over {MAX_PARAMETERS}")
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out, act in zip(layer_dims[:-1], layer_dims[1:], activations):
@@ -260,7 +272,7 @@ def max_relative_error(analytic: ParamGrads, numeric: ParamGrads) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     algorithm: str  # one of OPTIMIZERS
     lr: float

@@ -144,7 +144,7 @@ def g_y_loss(
     return float(-ll)
 
 
-@dataclass
+@dataclass(eq=False)
 class TriGanModel:
     g_p: NeuralNet
     g_n: NeuralNet

@@ -28,39 +28,9 @@ from .nets import (
     ParamGrads,
     keep_heap_for_steps,
     make_optimizer,
-    net_init,
     optimizer_step,
 )
-from .trigan import TrainConfig, TriGanModel, gan_objective
-
-
-SYMMETRIC_MODES = ("as-printed", "intended")
-
-
-# --- printed value functions, on probability vectors ----------------------
-
-
-def symmetric_values(
-    d_p_on_pos,
-    d_p_on_gp_fake,
-    mode: str,
-    d_n_on_neg=None,
-    d_n_on_gn_fake=None,
-) -> tuple[float, float]:
-    """The two symmetric-variant value functions.
-
-    as-printed: both are the same positive-pair expression (they agree to
-    the last bit by construction). intended: the second mirrors onto the
-    negative pair.
-    """
-    if mode not in SYMMETRIC_MODES:
-        raise ValueError(f"unknown symmetric mode {mode!r}")
-    v1 = gan_objective(d_p_on_pos, d_p_on_gp_fake)
-    if mode == "as-printed":
-        return v1, v1
-    if d_n_on_neg is None or d_n_on_gn_fake is None:
-        raise ValueError("intended mode needs the negative-pair probabilities")
-    return v1, gan_objective(d_n_on_neg, d_n_on_gn_fake)
+from .trigan import TrainConfig, TriGanModel
 
 
 # --- gradient rules --------------------------------------------------------

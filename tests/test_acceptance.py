@@ -18,6 +18,7 @@ Two criteria rest on choices the stated rules and constants do not settle:
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,18 +27,18 @@ from scipy.stats import spearmanr
 from claimgan.cli import main
 from claimgan.data import (
     ClaimRecord,
+    LabeledDataset,
     class_priors,
     gaussian_mixture,
     make_pairs,
-    prior_from_counts,
     split,
 )
 from claimgan.equilibrium import EQUILIBRIUM_VALUE, optimal_t_binary, optimal_t_ternary, v_star, verify_equilibrium
-from claimgan.gradcheck import check_all_gradients
+from claimgan.gradcheck import _random_instance, check_all_gradients
 from claimgan.metrics import precision_recall_f1
 from claimgan.nets import forward
 from claimgan.trigan import TrainConfig, build_model, classify_batch, train
-from claimgan.variants import baseline_train, symmetric_values
+from claimgan.variants import STEP_TABLES, baseline_train
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -231,17 +232,18 @@ def test_criterion_09_prior_computation():
     The expected value is the exact ratio 80035 / 109810 = 0.7288498...,
     computed without the code under test. The quoted constant 0.728868 does
     not come from these counts: it misses the ratio by 1.8e-5, and no
-    integer pair keeping either count gives it within 5e-7.
+    integer pair keeping either count gives it within 5e-7. The priors come
+    from class_priors, which training takes when the config sets none.
     """
-    pi_p, pi_n = prior_from_counts(80035, 29775)
+    labels = np.repeat([1, 0], [80035, 29775])
+    pi_p, pi_n = class_priors(LabeledDataset(np.zeros((labels.size, 1)), labels))
     expected = float(Fraction(80035, 80035 + 29775))
-    gap = abs(pi_p - expected)
-    ok = gap <= 1e-6 and pi_p + pi_n == 1.0
+    ok = pi_p == expected and pi_p + pi_n == 1.0
     report(
         9,
         ok,
-        f"prior from counts {pi_p:.7f} vs exact 80035/109810 = {expected:.7f} "
-        f"(gap {gap:.1e}, tol 1e-6; the quoted 0.728868 is not this ratio)",
+        f"class_priors {pi_p:.7f} vs exact 80035/109810 = {expected:.7f} "
+        f"(gap {abs(pi_p - expected):.1e}; the quoted 0.728868 is not this ratio)",
     )
     assert ok, "prior is not the ratio of the counts, or the priors do not sum to 1"
 
@@ -288,13 +290,39 @@ def test_criterion_11_repeat_determinism(tmp_path):
     assert report(11, ok, f"two repeat runs: metric files byte-identical: {identical}")
 
 
-def test_criterion_12_symmetric_variant_literalness():
+def symmetric_literalness(table) -> tuple[int, int]:
+    """Run a symmetric step table's d_p, d_n and g_n rules on 100 seeded
+    instances, batch sizes 1-64, with no optimizer step between rows.
+
+    Returns in how many instances the d_n row's value equals the d_p row's
+    to the last bit, and in how many the d_n and g_n rows both return no
+    gradient: all of them, for the table as printed."""
+    rows = {net: rule for net, rule, _ in table}
     rng = np.random.default_rng(112)
-    bitwise = True
-    for _ in range(100):
-        n = int(rng.integers(1, 65))
-        d_pos = rng.uniform(1e-6, 1.0 - 1e-6, n)
-        d_fake = rng.uniform(1e-6, 1.0 - 1e-6, n)
-        v1, v2 = symmetric_values(d_pos, d_fake, "as-printed")
-        bitwise &= v1 == v2
-    assert report(12, bitwise, f"as-printed value functions bitwise equal on 100 batches: {bitwise}")
+    n_equal = n_no_grads = 0
+    for seed in range(100):
+        model, x_p, x_n, x, z = _random_instance(seed, batch=int(rng.integers(1, 65)))
+        batches = SimpleNamespace(x_p=x_p, x_n=x_n, x=x, z=z, z2=z)
+        _, v_p = rows["d_p"](model, None, batches)
+        grads_n, v_n = rows["d_n"](model, None, batches)
+        n_equal += bool(v_n == v_p)
+        n_no_grads += grads_n is None and rows["g_n"](model, None, batches)[0] is None
+    return n_equal, n_no_grads
+
+
+def test_criterion_12_symmetric_variant_literalness():
+    n_equal, n_no_grads = symmetric_literalness(STEP_TABLES["symmetric"])
+    ok = n_equal == n_no_grads == 100
+    detail = (
+        f"symmetric table rows on 100 batches: d_n value bitwise equal to d_p's in {n_equal}, "
+        f"no d_n/g_n gradient in {n_no_grads}"
+    )
+    assert report(12, ok, detail)
+
+
+def test_criterion_12_fails_on_the_intended_d_n_row():
+    intended_d_n = next(row for row in STEP_TABLES["symmetric-intended"] if row[0] == "d_n")
+    table = [intended_d_n if row[0] == "d_n" else row for row in STEP_TABLES["symmetric"]]
+    # the mirrored row trains d_n on x_n: in every instance its value differs
+    # and it returns a gradient
+    assert symmetric_literalness(table) == (0, 0)

@@ -17,6 +17,7 @@ change.
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,6 +57,23 @@ def test_every_traced_function_exists():
         fn = getattr(sys.modules[f"claimgan.{module}"], name, None)
         assert callable(fn), f"claimgan.{module}.{name}"
     assert callable(trigan.proposed_step)
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    """Tracer.install() reads sys.modules for each TRACED module right after
+    the benchmark child imports claimgan.cli, so a module that cli imported
+    lazily would fail every traced run. The test process has imported them
+    all already, so this runs in a fresh interpreter."""
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import claimgan.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('claimgan.'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src")], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert {f"claimgan.{module}" for module, _ in _traced()} <= loaded
 
 
 def test_tracer_times_the_nearest_neighbour_class(monkeypatch):

@@ -22,7 +22,7 @@ from claimgan.data import embed_pairs, load_dataset
 from claimgan.equilibrium import MAX_GRID_POINTS
 from claimgan.gradcheck import check_all_gradients
 from claimgan.metrics import load_records
-from claimgan.nets import checkpoint_load, checkpoint_save, net_init
+from claimgan.nets import MAX_PARAMETERS, checkpoint_load, checkpoint_save, net_init
 
 
 def toy_config(**overrides):
@@ -289,6 +289,14 @@ class TestTrainEval:
         assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
         layers = checkpoint_load(out / "checkpoint.json")["Gy"].layers
         assert [l.weight.shape for l in layers] == [(8, 2), (8, 8), (1, 8)]
+
+    @pytest.mark.parametrize("variant", ["proposed", "baseline"])
+    def test_oversized_hidden_exit_2(self, variant, tmp_path, capsys):
+        # refused by the parameter count before any layer is drawn; without
+        # the bound the first layer would fail to allocate instead
+        cfg_path = write_config(tmp_path, toy_config(variant=variant, hidden=1 << 40))
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"parameters, over {MAX_PARAMETERS}")
 
     def test_variant_override(self, tmp_path):
         cfg_path = write_config(tmp_path, toy_config())

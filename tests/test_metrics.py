@@ -60,14 +60,14 @@ class TestPrecisionRecallF1:
 class TestAggregate:
     def test_mean_and_sample_std(self):
         res = aggregate([{"f1": 0.5}, {"f1": 0.6}])
-        assert res.n_runs == 2 and not res.single_run
+        assert res.n_runs == 2
         assert res.mean["f1"] == pytest.approx(0.55, abs=1e-12)
         # sample std of {0.5, 0.6} = |0.05|*sqrt(2)
         assert res.std["f1"] == pytest.approx(0.07071067811865477, abs=1e-12)
 
     def test_single_run_flagged_zero_std(self):
         res = aggregate([{"f1": 0.9, "precision": 1.0}])
-        assert res.single_run and res.std == {"f1": 0.0, "precision": 0.0}
+        assert res.n_runs == 1 and res.std == {"f1": 0.0, "precision": 0.0}
 
     def test_inconsistent_keys_rejected(self):
         with pytest.raises(ValueError):

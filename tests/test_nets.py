@@ -8,6 +8,7 @@ from claimgan.nets import (
     ACTIVATIONS,
     CheckpointError,
     Layer,
+    MAX_PARAMETERS,
     NeuralNet,
     PROB_EPS,
     backward,
@@ -57,6 +58,13 @@ class TestInit:
             net_init([2, 0, 1], ["tanh", "sigmoid"], 0)
         with pytest.raises(ValueError):
             net_init([4], [], 0)
+
+    @pytest.mark.parametrize("dims", [[2, 4096, 4096, 1], [1 << 40, 8]])
+    def test_parameter_count_refused_before_any_draw(self, dims):
+        # hidden 4096 is just over the cap; an (8, 2**40) weight could not
+        # be allocated at all
+        with pytest.raises(ValueError, match=f"parameters, over {MAX_PARAMETERS}$"):
+            net_init(dims, ["relu"] * (len(dims) - 1), 0)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):

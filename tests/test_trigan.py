@@ -255,6 +255,15 @@ class TestModel:
         c.d_p.layers[0].weight += 1.0
         assert not np.array_equal(m.d_p.layers[0].weight, c.d_p.layers[0].weight)
 
+    def test_nets_models_and_optimizer_states_compare_by_identity(self):
+        # a generated __eq__ over their arrays would raise on the truth value
+        m = build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
+        assert not m.g_p == m.g_p.copy()
+        assert not m == m.copy()
+        assert not make_optimizer(m.g_p) == make_optimizer(m.g_p)
+        assert m.g_p in [m.g_n, m.g_p]
+        assert m == m and m.g_p != m.g_n
+
     def test_classify_threshold(self):
         m = build_model(3, 2, 0.5, 0.5, seed=1, hidden=8)
         xs = np.random.default_rng(0).standard_normal((50, 3))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from claimgan.trigan import TrainConfig, bracket_value, build_model, gan_objecti
 from claimgan.variants import (
     STEP_FUNCTIONS,
     STEP_TABLES,
-    SYMMETRIC_MODES,
     baseline_train,
     inverted_d_n_grads,
     inverted_g_n_grads,
     inverted_g_p_grads,
     symmetric_d_n_grads,
     symmetric_g_n_grads,
-    symmetric_values,
 )
 
 
@@ -68,30 +68,6 @@ class TestInvertedValues:
         assert any(np.any(gw != 0) for gw, _ in m.d_n.unflatten(grads))
 
 
-class TestSymmetricValues:
-    def test_as_printed_bitwise_equal(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d_pos = rng.uniform(0.01, 0.99, 8)
-            d_fake = rng.uniform(0.01, 0.99, 8)
-            v1, v2 = symmetric_values(d_pos, d_fake, "as-printed")
-            assert v1 == v2  # identical to the last bit
-
-    def test_intended_mode_requires_negative_pair(self):
-        with pytest.raises(ValueError):
-            symmetric_values([0.5], [0.5], "intended")
-
-    def test_intended_mode_mirrors(self):
-        v1, v2 = symmetric_values([0.8], [0.3], "intended", [0.7], [0.4])
-        assert v1 == gan_objective([0.8], [0.3])
-        assert v2 == gan_objective([0.7], [0.4])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_values([0.5], [0.5], "sideways")
-        assert set(SYMMETRIC_MODES) == {"as-printed", "intended"}
-
-
 class TestSymmetricGrads:
     def test_as_printed_second_pair_gets_nothing(self):
         m = small_model(5)
@@ -105,7 +81,20 @@ class TestSymmetricGrads:
         # the second value function, as printed, is the positive pair's
         dp_pos, _ = forward(m.d_p, x_p)
         dp_fake, _ = forward(m.d_p, forward(m.g_p, z)[0])
-        assert value == symmetric_values(dp_pos, dp_fake, "as-printed")[1]
+        assert value == gan_objective(dp_pos, dp_fake)
+
+    def test_intended_mode_mirrors(self):
+        m = small_model(5)
+        rng = np.random.default_rng(4)
+        x_p, x_n, x, z = (rng.standard_normal((4, 2)) for _ in range(4))
+        batches = SimpleNamespace(x_p=x_p, x_n=x_n, x=x, z=z, z2=z)
+        rows = {net: rule for net, rule, _ in STEP_TABLES["symmetric-intended"]}
+        # the first value function is the positive pair's, the second mirrors
+        # it onto the negative pair
+        for net, disc, gen, real in (("d_p", m.d_p, m.g_p, x_p), ("d_n", m.d_n, m.g_n, x_n)):
+            d_real, _ = forward(disc, real)
+            d_fake, _ = forward(disc, forward(gen, z)[0])
+            assert rows[net](m, None, batches)[1] == gan_objective(d_real, d_fake)
 
     def test_intended_second_pair_trains(self):
         m = small_model(5)
