@@ -8,7 +8,8 @@ absent fields are empty cells.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,8 +27,9 @@ KD_TREE_MAX_DIM = 10
 # size of each (query rows x data rows) work array of the scan
 SCAN_BLOCK_BYTES = 1 << 20
 # size of each (sampled rows x columns) array of similarity_report: below
-# glibc's 128 KiB mmap threshold, which nets.keep_heap_for_steps pins, so
-# the blocks come from the heap instead of fresh page-faulted mappings
+# glibc's mmap threshold, which starts at 128 KiB and only rises (see
+# nets.keep_heap_for_steps), so the blocks come from the heap instead of
+# fresh page-faulted mappings
 REPORT_BLOCK_BYTES = 1 << 16
 
 
@@ -145,7 +147,7 @@ def _scipy_sq_dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
     run: int
     iter: int
@@ -161,6 +163,7 @@ class MetricsRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+_csv_values = attrgetter(*CSV_COLUMNS)
 
 
 def precision_recall_f1(
@@ -292,8 +295,7 @@ def emit(records: list[MetricsRecord], path) -> None:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            d = asdict(rec)
-            writer.writerow([_to_cell(d[c]) for c in CSV_COLUMNS])
+            writer.writerow([_to_cell(v) for v in _csv_values(rec)])
 
 
 def load_records(path) -> list[MetricsRecord]:

@@ -8,6 +8,7 @@ Adam moments and finite differences are all vectors laid out like its `flat`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import dataclass, field
@@ -155,12 +156,30 @@ def net_init(layer_dims: list[int], activations: list[str], seed: int) -> Neural
 
 
 @functools.cache
-def keep_heap_for_steps() -> None:
-    """Stop glibc malloc from returning the top of the heap to the OS after
-    every training step; called once per process by the training loops.
+def _glibc_heap_calls():
+    """glibc's (mallopt, malloc_trim), or None where the C library has no
+    mallopt (macOS, Windows)."""
+    import ctypes
 
-    Each step frees its temporaries at the top of the heap. Below the trim
-    threshold glibc keeps that memory; above it, glibc gives it back and
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    mallopt.restype = malloc_trim.restype = ctypes.c_int
+    return mallopt, malloc_trim
+
+
+@contextlib.contextmanager
+def keep_heap_for_steps():
+    """Keep the heap's free top between training steps while the block
+    runs, and hand it back to the OS when the block ends, normally or by
+    an exception. The training loops hold it around their iterations.
+
+    Each step frees its temporaries at the top of the heap. Below glibc's
+    trim threshold that memory is kept; above it, glibc gives it back and
     the next step page-faults it in again: about 360 minor faults per toy
     step (2-D, hidden 64, batch 64) at glibc's default 128 KiB and still
     at 512 KiB. At 1 MiB the toy steps run without faults, but the first
@@ -168,16 +187,29 @@ def keep_heap_for_steps() -> None:
     after every second eval still takes 130-146 on the seed-0 benchmark
     corpus (eq4, eval every 50), and the other steps none.
 
-    Without glibc's mallopt (macOS, Windows) nothing is done.
-    """
-    import ctypes
+    Setting the trim threshold also freezes glibc's dynamic mmap threshold
+    where it stands: at least 128 KiB, raised by each larger freed mapping to
+    its size. The benchmark's corpus set-up frees its 2.5 MB embedding matrix,
+    so its evals' 1.5 MB arrays come from the heap (mallinfo2's hblks stays
+    at 4 through all 20 evals); a process still holding that matrix froze
+    it between 512 KiB and 1 MiB and mapped them afresh in every eval.
 
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    The exit calls malloc_trim(0), so a finished loop leaves no free heap
+    top (0.3-1.1 MB after 300 toy iterations without it) under what runs
+    next. The threshold stays set.
+
+    Without glibc's mallopt nothing is done.
+    """
+    calls = _glibc_heap_calls()
+    if calls is None:
+        yield
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt, malloc_trim = calls
     mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    try:
+        yield
+    finally:
+        malloc_trim(0)
 
 
 def forward(

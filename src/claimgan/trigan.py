@@ -410,6 +410,17 @@ def _eval_seed(base_seed: int, run_id: int, iteration: int) -> np.random.Generat
     return np.random.default_rng([base_seed, run_id, iteration, 0xE7A1])
 
 
+def scored_val_data(val_data: LabeledDataset | None, dim: int) -> LabeledDataset | None:
+    """The validation set a training loop scores, or None to score none
+    (none given, or empty). Rejects a non-empty set whose samples are not
+    `dim` wide before the first step, not at the first eval."""
+    if val_data is None or not len(val_data):
+        return None
+    if val_data.dim != dim:
+        raise ValueError(f"val_data dim {val_data.dim} does not match model sample_dim {dim}")
+    return val_data
+
+
 def train(
     model: TriGanModel,
     data: LabeledDataset,
@@ -422,15 +433,15 @@ def train(
 
     One telemetry record per iteration; precision/recall/F1 on val_data and
     similarity scores against the real positives are filled in every
-    cfg.eval_every iterations.
+    cfg.eval_every iterations. An empty val_data leaves P/R/F1 empty.
     """
     class_priors(data)  # rejects empty or single-class data
     if data.dim != model.sample_dim:
         raise ValueError("dataset dim does not match model sample_dim")
+    val_data = scored_val_data(val_data, model.sample_dim)
     model = model.copy()
     if cfg.iterations == 0:
         return model, []
-    keep_heap_for_steps()
     rng = np.random.default_rng(cfg.seed)
     opts = {
         name: make_optimizer(net, cfg.optimizer, cfg.lr_for(name))
@@ -443,30 +454,32 @@ def train(
     neg_rows = np.flatnonzero(data.labels == 0)
     m = cfg.batch_size
     records: list[MetricsRecord] = []
-    for it in range(1, cfg.iterations + 1):
-        z = rng.standard_normal((m, model.noise_dim))
-        x_p = allx[pos_rows[rng.integers(0, len(pos_rows), m)]]
-        x_n = allx[neg_rows[rng.integers(0, len(neg_rows), m)]]
-        x = allx[rng.integers(0, allx.shape[0], m)]
-        z2 = rng.standard_normal((m, model.noise_dim))
-        rec = MetricsRecord(run=run_id, iter=it, **step_fn(model, opts, cfg, x_p, x_n, x, z, z2))
-        if cfg.eval_every and it % cfg.eval_every == 0:
-            eval_rng = _eval_seed(cfg.seed, run_id, it)
-            if val_data is not None and len(val_data):
-                preds = classify_batch(model, val_data.features)[1]
-                p, r, f1, _ = precision_recall_f1(preds, val_data.labels)
-                rec.precision, rec.recall, rec.f1 = p, r, f1
-            n_gen = min(cfg.similarity_sample_cap, len(pos_rows))
-            z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
-            gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
-            rec.cos, rec.man, rec.euc = similarity_report(
-                allx[pos_rows],
-                gen_pos,
-                n_cap=cfg.similarity_sample_cap,
-                seed=int(eval_rng.integers(0, 2**32)),
-                pairing=cfg.pairing,
-            )
-        records.append(rec)
+    with keep_heap_for_steps():
+        for it in range(1, cfg.iterations + 1):
+            z = rng.standard_normal((m, model.noise_dim))
+            x_p = allx[pos_rows[rng.integers(0, len(pos_rows), m)]]
+            x_n = allx[neg_rows[rng.integers(0, len(neg_rows), m)]]
+            x = allx[rng.integers(0, allx.shape[0], m)]
+            z2 = rng.standard_normal((m, model.noise_dim))
+            rec = MetricsRecord(run=run_id, iter=it, **step_fn(model, opts, cfg, x_p, x_n, x, z, z2))
+            if cfg.eval_every and it % cfg.eval_every == 0:
+                eval_rng = _eval_seed(cfg.seed, run_id, it)
+                if val_data is not None:
+                    preds = classify_batch(model, val_data.features)[1]
+                    p, r, f1, _ = precision_recall_f1(preds, val_data.labels)
+                    rec.precision, rec.recall, rec.f1 = p, r, f1
+                n_gen = min(cfg.similarity_sample_cap, len(pos_rows))
+                z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
+                gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
+                rec.cos, rec.man, rec.euc = similarity_report(
+                    allx[pos_rows],
+                    gen_pos,
+                    n_cap=cfg.similarity_sample_cap,
+                    seed=int(eval_rng.integers(0, 2**32)),
+                    pairing=cfg.pairing,
+                )
+                del z_eval, gen_pos  # not kept alive through the next eval_every steps
+            records.append(rec)
     return model, records
 
 

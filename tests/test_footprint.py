@@ -1,9 +1,10 @@
 """Process footprint: importing the package, and nearest pairing of 64-D
-data, load no scipy, and training steps do not page-fault their
-temporaries back in from the OS, each measured in a fresh interpreter; the
-corpus embedding, a generator's forward pass, an Adam step, the similarity
-report and an evaluating training step allocate little beyond their inputs
-and outputs."""
+data, load no scipy, training steps do not page-fault their temporaries
+back in from the OS, and a finished training loop leaves no free heap top
+behind, each measured in a fresh interpreter; the corpus embedding, a
+generator's forward pass, an Adam step, the similarity report, an
+evaluating training step and the telemetry records allocate little beyond
+their inputs and outputs."""
 
 import json
 import os
@@ -96,6 +97,59 @@ def test_training_steps_do_not_page_fault():
     assert sum(steady) / len(steady) < 5, steady
 
 
+HEAP_TOP_AFTER_TRAINING = """
+import ctypes, json
+from claimgan import data, trigan
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+ds = data.gaussian_mixture(500, 2, [[-2.0, -2.0], [2.0, 2.0]], 1.0, 0)
+pi_p, pi_n = data.class_priors(ds)
+model = trigan.build_model(2, 8, pi_p, pi_n, 0, hidden=64)
+cfg = trigan.TrainConfig(iterations=300, batch_size=64, seed=1, eval_every=0)
+steps = []
+
+def failing_step(*args):
+    if len(steps) == 150:
+        raise RuntimeError("step 151 fails")
+    steps.append(1)
+    return trigan.proposed_step(*args)
+
+try:
+    trigan.train(model, ds, cfg, step_fn=failing_step)
+except RuntimeError:
+    pass
+after_raise = mallinfo2().keepcost
+trigan.train(model, ds, cfg)
+print(json.dumps({"after_raise": after_raise, "after_return": mallinfo2().keepcost}))
+"""
+
+
+def _has_mallinfo2() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallinfo2(), reason="needs glibc's mallinfo2")
+def test_finished_training_loop_hands_the_heap_top_back():
+    # keep_heap_for_steps keeps up to 2 MiB of free heap top between steps
+    # (1.1 MB here without the trim) and trims it when the loop ends,
+    # also when a step raises; the failing loop runs first, so no earlier
+    # trim can hide a missing one
+    result = json.loads(_run(HEAP_TOP_AFTER_TRAINING))
+    assert result["after_raise"] < 64 << 10, result
+    assert result["after_return"] < 64 << 10, result
+
+
 def test_corpus_embedding_peaks_below_twice_its_output():
     # 5000 claim/evidence pairs of 10-24 tokens at dim 64, the benchmark
     # corpus's shape; keeping every token string, or a count matrix beside
@@ -167,3 +221,21 @@ def test_evaluating_training_step_peaks_below_five_positive_sets():
     _, peak = _traced_peak(lambda: trigan.train(model, ds, cfg))
     positives = ds.features[ds.labels == 1].nbytes
     assert peak <= 5 * positives, peak / positives
+
+
+def test_telemetry_records_take_below_240_bytes_each():
+    # a slotted record with three loss floats and an iteration int, about
+    # 228 B with the list slot; a per-instance __dict__ takes about 276 B
+    rng = random.Random(0)
+
+    def records():
+        return [
+            metrics.MetricsRecord(
+                run=0, iter=it, loss_pos=rng.random(), loss_neg=rng.random(),
+                loss_label=rng.random(),
+            )
+            for it in range(1, 2001)
+        ]
+
+    recs, peak = _traced_peak(records)
+    assert peak <= 240 * len(recs), peak / len(recs)

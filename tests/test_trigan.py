@@ -34,6 +34,7 @@ from claimgan.trigan import (
     g_y_step_grads,
     gan_objective,
     predict,
+    proposed_step,
     run_steps,
     train,
 )
@@ -385,6 +386,30 @@ class TestTrain:
         m = build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
         with pytest.raises(ValueError):
             train(m, toy_data, TrainConfig(iterations=1))
+
+    def test_val_data_dim_mismatch_rejected_before_the_first_step(self, toy_data):
+        from claimgan.data import LabeledDataset
+
+        val_3d = LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2)
+        steps = []
+
+        def step(*args):
+            steps.append(1)
+            return proposed_step(*args)
+
+        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
+        cfg = TrainConfig(iterations=4, seed=1, eval_every=2)
+        with pytest.raises(ValueError, match="val_data dim 3"):
+            train(m, toy_data, cfg, val_3d, step_fn=step)
+        assert steps == []
+
+    def test_empty_val_data_leaves_prf_empty(self, toy_data):
+        from claimgan.data import LabeledDataset
+
+        empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
+        _, records = train(m, toy_data, TrainConfig(iterations=2, seed=1, eval_every=2), empty)
+        assert records[1].f1 is None and records[1].cos is not None
 
     def test_a_row_without_gradient_takes_no_step(self):
         m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
