@@ -118,6 +118,8 @@ def cmd_eval(args) -> int:
     if nets["Gy"].output_dim != 1:
         raise ValueError(f"{args.checkpoint}: Gy must map sample_dim -> 1")
     dataset = datamod.load_dataset(args.data)
+    if len(dataset) == 0:
+        raise ValueError(f"{args.data}: dataset file has no rows")
     _, preds = trigan.predict(nets["Gy"], dataset.features)
     p, r, f1, degenerate = metrics.precision_recall_f1(preds, dataset.labels)
     rec = metrics.MetricsRecord(run=0, iter=0, precision=p, recall=r, f1=f1)

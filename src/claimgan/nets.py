@@ -20,9 +20,12 @@ from .fileio import atomic_open
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
 
-# glibc's mallopt parameter number (malloc.h) and the value training sets.
+# glibc's mallopt parameter numbers (malloc.h), the trim threshold training
+# sets and glibc's default top pad, which training restores.
 M_TRIM_THRESHOLD = -1
+M_TOP_PAD = -2
 HEAP_TRIM_THRESHOLD = 2 << 20
+DEFAULT_TOP_PAD = 128 << 10
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -110,11 +113,6 @@ class NeuralNet:
             start = end
         self.layers, self.plan = layers, tuple(plan)
 
-    def unflatten(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias) views into `vec`, a vector laid out like
-        `flat`: each layer's weight in C order, then its bias."""
-        return [(vec[s:m].reshape(w.shape), vec[m:e]) for w, _, _, _, _, s, m, e in self.plan]
-
     @property
     def input_dim(self) -> int:
         return self.layers[0].weight.shape[1]
@@ -127,7 +125,8 @@ class NeuralNet:
         return NeuralNet(self.layers)
 
 
-# ParamGrads: a float64 vector laid out like net.flat; see NeuralNet.unflatten.
+# ParamGrads: a float64 vector laid out like net.flat: each layer's weight in
+# C order, then its bias, at the offsets of that layer's entry in net.plan.
 ParamGrads = np.ndarray
 
 
@@ -194,9 +193,15 @@ def keep_heap_for_steps():
     at 4 through all 20 evals); a process still holding that matrix froze
     it between 512 KiB and 1 MiB and mapped them afresh in every eval.
 
-    The exit calls malloc_trim(0), so a finished loop leaves no free heap
-    top (0.3-1.1 MB after 300 toy iterations without it) under what runs
-    next. The threshold stays set.
+    The exit calls malloc_trim(0), then sets the trim threshold and the top
+    pad to 0, so glibc also hands back at once what is freed after the
+    block: the loop's optimizer moments and model copy, when `train`
+    returns or a caller drops a failed run. With the trim alone, 7 of 10
+    heap layouts (the same source at 10 path lengths) still had 0.5-0.64 MB
+    of free heap top after a 300-iteration toy `train` returned or raised,
+    because those arrays sat at the top; with the exit settings, none had
+    more than 2 KB. The entry sets the top pad back to glibc's default, so
+    every loop runs under the same settings.
 
     Without glibc's mallopt nothing is done.
     """
@@ -206,10 +211,13 @@ def keep_heap_for_steps():
         return
     mallopt, malloc_trim = calls
     mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    mallopt(M_TOP_PAD, DEFAULT_TOP_PAD)
     try:
         yield
     finally:
         malloc_trim(0)
+        mallopt(M_TRIM_THRESHOLD, 0)
+        mallopt(M_TOP_PAD, 0)
 
 
 def forward(
@@ -233,7 +241,8 @@ def forward(
     cache = [] if keep_cache else None
     h = batch
     for _, weight_t, bias, activate, *_ in net.plan:
-        z = h @ weight_t  # a fresh array, so activating in place is safe
+        # np.dot, here and in `backward`: the same bits as `@` (see there)
+        z = np.dot(h, weight_t)  # a fresh array, so activating in place is safe
         z += bias
         out = activate(z)
         if keep_cache:
@@ -271,10 +280,15 @@ def backward(
         dz = derivative(out)  # fresh, so neither output_grad nor the cache is written
         dz *= delta
         if param_grads:
-            np.matmul(dz.T, h_in, out=grads[start:mid].reshape(weight.shape))
+            np.dot(dz.T, h_in, out=grads[start:mid].reshape(weight.shape))
             np.add.reduce(dz, axis=0, out=grads[mid:end])
         if k or input_grad:
-            delta = dz @ weight
+            # np.dot, not `@`: for a one-unit layer (every judge's output)
+            # this is a (m, 1) @ (1, n) product, which matmul runs 5-8x
+            # slower than dot at 64 x 64. Both give each entry as 0 + a*b,
+            # so a -0.0 product is +0.0 either way; a broadcast dz * weight
+            # would keep the -0.0.
+            delta = np.dot(dz, weight)
     return grads, (delta if input_grad else None)
 
 

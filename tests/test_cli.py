@@ -378,6 +378,15 @@ class TestTrainEval:
         assert_one_error_line(capsys.readouterr().err, "has no Gy net")
         assert not out.exists()
 
+    def test_eval_dataset_without_rows_exit_2(self, tmp_path, capsys):
+        ckpt, data_path, out = tmp_path / "ckpt.json", tmp_path / "empty.csv", tmp_path / "out"
+        ckpt.write_text(json.dumps({"version": 1, "nets": {"Gy": _gy()}}))
+        data_path.write_text("label,f_0,f_1\n")
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, f"{data_path}: dataset file has no rows")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "version, nets, needle",
         [

@@ -22,6 +22,8 @@ from claimgan.nets import (
     optimizer_step,
 )
 
+from flat_layout import unflatten
+
 
 def single_layer(w, b, act):
     return NeuralNet([Layer(np.array(w, dtype=float), np.array(b, dtype=float), act)])
@@ -157,7 +159,7 @@ class TestBackward:
         out, cache = forward(net, x)
         resid = out[0, 0] - y
         grads, _ = backward(net, cache, np.array([[2.0 * resid]]))
-        ((dw, db),) = net.unflatten(grads)
+        ((dw, db),) = unflatten(net, grads)
         assert np.allclose(dw, 2.0 * resid * x)
         assert db[0] == pytest.approx(2.0 * resid)
 
@@ -270,7 +272,7 @@ class TestOptimizer:
         net = net_init([3, 4, 1], ["relu", "sigmoid"], 2)
         before = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
         grads = np.empty_like(net.flat)
-        for (gw, gb), l in zip(net.unflatten(grads), net.layers):
+        for (gw, gb), l in zip(unflatten(net, grads), net.layers):
             gw[:] = np.random.default_rng(3).standard_normal(l.weight.shape)
             gb[:] = 1.0
         state = make_optimizer(net, "sgd", 0.05)
@@ -399,7 +401,7 @@ class TestFlatStorage:
             given = grads.tobytes()
             optimizer_step(net, grads, state, direction)
             assert grads.tobytes() == given
-            per_array = [a for pair in net.unflatten(grads) for a in pair]
+            per_array = [a for pair in unflatten(net, grads) for a in pair]
             reference_step(params, per_array, moments, step, algorithm, 0.01, sign)
             got = [a for l in net.layers for a in (l.weight, l.bias)]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, params)), step
@@ -430,7 +432,7 @@ class TestFlatStorage:
             dz = delta * act_grad[net.layers[k].activation](z, o)
             expected[k] = (dz.T @ h_in, dz.sum(axis=0))
             delta = dz @ net.layers[k].weight
-        for (w_view, b_view), (dw, db) in zip(net.unflatten(grads), expected):
+        for (w_view, b_view), (dw, db) in zip(unflatten(net, grads), expected):
             assert np.array_equal(w_view, dw) and np.array_equal(b_view, db)
             assert np.shares_memory(w_view, grads) and np.shares_memory(b_view, grads)
         # weight then bias, layer by layer, independent of unflatten
@@ -443,7 +445,7 @@ class TestFlatStorage:
         flat, m, v = net.flat.copy(), state.m.copy(), state.v.copy()
         for bad_value in (np.nan, np.inf, -np.inf):
             bad = np.ones_like(net.flat)
-            net.unflatten(bad)[-1][1][0] = bad_value  # only the last array of the last layer
+            unflatten(net, bad)[-1][1][0] = bad_value  # only the last array of the last layer
             with pytest.raises(ValueError, match="non-finite"):
                 optimizer_step(net, bad, state, "descend")
             assert np.array_equal(net.flat, flat)
@@ -544,7 +546,7 @@ def test_numeric_gradients_matches_simple_analytic():
     # f(w, b) = (w*3 + b)^2 -> df/dw = 6*(3w+b), df/db = 2*(3w+b)
     value = lambda: float((net.layers[0].weight[0, 0] * 3 + net.layers[0].bias[0]) ** 2)
     grads = numeric_gradients(net, value)
-    ((dw, db),) = net.unflatten(grads)
+    ((dw, db),) = unflatten(net, grads)
     assert dw[0, 0] == pytest.approx(6 * 7.0, rel=1e-6)
     assert db[0] == pytest.approx(2 * 7.0, rel=1e-6)
 
@@ -587,7 +589,7 @@ def reference_backward(net, cache, output_grad):
         h_in, out = cache[k]
         layer = net.layers[k]
         dz = delta * REFERENCE_ACTIVATIONS[layer.activation][1](out)
-        w_view, b_view = net.unflatten(grads)[k]
+        w_view, b_view = unflatten(net, grads)[k]
         np.matmul(dz.T, h_in, out=w_view)
         dz.sum(axis=0, out=b_view)
         delta = dz @ layer.weight
@@ -596,6 +598,23 @@ def reference_backward(net, cache, output_grad):
 
 def bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# (batch, dims) for the forward/backward comparison: a small net, then at
+# batch 64 and 0 one-output nets like trigan.judge_net, whose backward
+# multiplies a column by a row (in [4, 1] that product is the input gradient,
+# so the sign of each of its zeros shows), and the workloads' nets: the toy
+# and corpus judges and sample generators
+REFERENCE_NETS = [
+    *((batch, [4, 6, 5, 3]) for batch in (1, 3, 37)),
+    *((batch, dims) for dims in (
+        [4, 6, 5, 1], [4, 1], [2, 64, 64, 1], [64, 64, 64, 1], [8, 64, 64, 2], [8, 64, 64, 64],
+    ) for batch in (64, 0)),
+]
+REFERENCE_NET_IDS = [
+    str(batch) if dims == [4, 6, 5, 3] else f"{batch}-{'x'.join(map(str, dims))}"
+    for batch, dims in REFERENCE_NETS
+]
 
 
 # pre-activations on both sides of every kink and clamp: signed zeros, the
@@ -625,16 +644,18 @@ class TestSameBitsAsTheReferenceFormulas:
         assert bits(z) == bits(EDGE_Z)
 
     @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
-    @pytest.mark.parametrize("batch", [1, 3, 37])
-    def test_forward_and_backward(self, act, batch):
-        # the activation on both hidden layers, then on the output layer;
-        # the batch's rows hold exact zeros of both signs
-        net = net_init([4, 6, 5, 3], [act, act, act], 11)
+    @pytest.mark.parametrize("batch, dims", REFERENCE_NETS, ids=REFERENCE_NET_IDS)
+    def test_forward_and_backward(self, act, batch, dims):
+        # the activation on every layer; the batch's columns and
+        # output_grad's rows hold exact zeros of both signs
+        net = net_init(dims, [act] * (len(dims) - 1), 11)
         rng = np.random.default_rng(batch)
-        x = rng.standard_normal((batch, 4))
+        x = rng.standard_normal((batch, dims[0]))
         x[:, 0] = 0.0
-        x[0, 1] = -0.0
-        g = rng.standard_normal((batch, 3))
+        x[:1, 1] = -0.0
+        g = rng.standard_normal((batch, dims[-1]))
+        g[1:2] = 0.0
+        g[2:3] = -0.0
         out, cache = forward(net, x)
         ref_out, ref_cache = reference_forward(net, x)
         assert bits(out) == bits(ref_out)

@@ -19,6 +19,8 @@ from claimgan.variants import (
     symmetric_g_n_grads,
 )
 
+from flat_layout import unflatten
+
 
 def train_variant(model, data, cfg, kind):
     return train(model, data, cfg, step_fn=STEP_FUNCTIONS[kind])
@@ -65,7 +67,7 @@ class TestInvertedValues:
         rng = np.random.default_rng(2)
         grads, value = inverted_d_n_grads(m, rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
         assert np.isfinite(value)
-        assert any(np.any(gw != 0) for gw, _ in m.d_n.unflatten(grads))
+        assert any(np.any(gw != 0) for gw, _ in unflatten(m.d_n, grads))
 
 
 class TestSymmetricGrads:
@@ -104,8 +106,8 @@ class TestSymmetricGrads:
         z = rng.standard_normal((4, 2))
         gd, _ = symmetric_d_n_grads(m, x_p, x_n, z, "intended")
         gg, _ = symmetric_g_n_grads(m, z, "intended")
-        assert any(np.any(gw != 0) for gw, _ in m.d_n.unflatten(gd))
-        assert any(np.any(gw != 0) for gw, _ in m.g_n.unflatten(gg))
+        assert any(np.any(gw != 0) for gw, _ in unflatten(m.d_n, gd))
+        assert any(np.any(gw != 0) for gw, _ in unflatten(m.g_n, gg))
 
 
 class TestTrainVariant:
