@@ -213,6 +213,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"{path}: not valid JSON: {e}") from e
     return parse_config(doc)

@@ -54,7 +54,6 @@ class ClaimRecord:
 class LabeledDataset:
     features: np.ndarray  # (n, dim)
     labels: np.ndarray  # (n,) of {0, 1}
-    zero_vector_count: int = 0  # pairs whose text hashed to nothing
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -123,7 +122,7 @@ def load_claims(path) -> CorpusLoadResult:
                 claim = obj["claim"]
                 evidence = obj["evidence"]
                 label_text = obj["label"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
                 raise ValueError(f"{path}: malformed record on line {lineno}: {e}") from e
             if not isinstance(label_text, str):
                 raise ValueError(f"{path}: line {lineno}: label must be a string")
@@ -177,7 +176,7 @@ def embed_pairs(pairs: list[tuple[str, int]], dim: int, seed: int) -> LabeledDat
 
     Tokens are the maximal [0-9a-z] runs of the lowercased text; token t goes
     to bucket crc32(f"{seed}:{t}") % dim. Texts with no tokens produce a zero
-    vector and are counted.
+    vector.
     """
     if dim < 8:
         raise ValueError("embedding dim must be at least 8")
@@ -207,7 +206,7 @@ def embed_pairs(pairs: list[tuple[str, int]], dim: int, seed: int) -> LabeledDat
     norms = np.sqrt(np.einsum("ij,ij->i", features, features))[:, None]
     np.divide(features, norms, out=features, where=norms > 0)
     labels = np.fromiter((label for _, label in pairs), dtype=np.int64, count=n)
-    return LabeledDataset(features, labels, zero_vector_count=int(np.count_nonzero(norms == 0)))
+    return LabeledDataset(features, labels)
 
 
 def class_priors(dataset: LabeledDataset) -> tuple[float, float]:

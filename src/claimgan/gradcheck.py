@@ -98,9 +98,7 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
     ]
 
 
-def check_all_gradients(
-    base_seed: int = 0, n_instances: int = 20, eps: float = 1e-5
-) -> dict[str, float]:
+def check_all_gradients(base_seed: int = 0, n_instances: int = 20) -> dict[str, float]:
     """Max relative backprop-vs-FD error per update rule over n_instances."""
     worst: dict[str, float] = {}
     for i in range(n_instances):
@@ -112,7 +110,7 @@ def check_all_gradients(
             net = getattr(model, net_name)
             if analytic is None:
                 analytic = np.zeros_like(net.flat)
-            numeric = numeric_gradients(net, scalar_fn, eps)
+            numeric = numeric_gradients(net, scalar_fn)
             err = max_relative_error(analytic, numeric)
             worst[name] = np.maximum(worst.get(name, 0.0), err)  # a NaN sticks
     return worst

@@ -166,18 +166,17 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 _csv_values = attrgetter(*CSV_COLUMNS)
 
 
-def precision_recall_f1(
-    predictions, truth, positive_label: int = 1
-) -> tuple[float, float, float, bool]:
-    """(P, R, F1, degenerate). 0/0 ratios are defined as 0 and flagged."""
+def precision_recall_f1(predictions, truth) -> tuple[float, float, float, bool]:
+    """(P, R, F1, degenerate) with label 1 positive. 0/0 ratios are defined
+    as 0 and flagged."""
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
     if predictions.shape != truth.shape:
         raise ValueError("prediction/truth length mismatch")
     if predictions.size == 0:
         raise ValueError("empty prediction list")
-    pred_pos = predictions == positive_label
-    true_pos = truth == positive_label
+    pred_pos = predictions == 1
+    true_pos = truth == 1
     tp = int(np.sum(pred_pos & true_pos))
     fp = int(np.sum(pred_pos & ~true_pos))
     fn = int(np.sum(~pred_pos & true_pos))

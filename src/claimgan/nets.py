@@ -402,7 +402,7 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")
@@ -433,4 +433,6 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
                 raise CheckpointError(f"net {name!r}: {e}") from e
     except (KeyError, IndexError, TypeError, ValueError) as e:  # ragged or layerless nets
         raise CheckpointError(f"malformed checkpoint: {e}") from e
+    except OverflowError as e:  # an int beyond float range
+        raise CheckpointError(f"net {name!r}: {e}") from e
     return nets

@@ -17,6 +17,7 @@ Two criteria rest on choices the stated rules and constants do not settle:
 
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,8 +37,15 @@ from claimgan.data import (
 from claimgan.equilibrium import EQUILIBRIUM_VALUE, optimal_t_binary, optimal_t_ternary, v_star, verify_equilibrium
 from claimgan.gradcheck import _random_instance, check_all_gradients
 from claimgan.metrics import precision_recall_f1
-from claimgan.nets import forward
-from claimgan.trigan import TrainConfig, build_model, classify_batch, train
+from claimgan.nets import forward, make_optimizer, optimizer_step
+from claimgan.trigan import (
+    TrainConfig,
+    build_model,
+    classify_batch,
+    g_y_step_grads,
+    proposed_step,
+    train,
+)
 from claimgan.variants import STEP_TABLES, baseline_train
 
 
@@ -122,34 +130,68 @@ def test_criterion_05_gradient_fidelity():
     )
 
 
+LABEL_HEAD_MODES = ("eq4", "generator-labels")
+
+
+def with_label_heads(model, cfg: TrainConfig):
+    """A train step_fn and the g_y heads it trains, one per LABEL_HEAD_MODES.
+
+    After each proposed_step, every head (a copy of model's initial g_y, with
+    its own optimizer state) steps by its mode's rule on the stepped nets and
+    the same noise z2. The g_y row draws nothing from the RNG and feeds no
+    other net, so each head ends as g_y ends in a run of its own mode.
+    """
+    heads = {mode: model.g_y.copy() for mode in LABEL_HEAD_MODES}
+    opts = {mode: make_optimizer(head, cfg.optimizer, cfg.lr_for("g_y")) for mode, head in heads.items()}
+
+    def step_fn(trained, train_opts, step_cfg, x_p, x_n, x, z, z2):
+        losses = proposed_step(trained, train_opts, step_cfg, x_p, x_n, x, z, z2)
+        for mode, head in heads.items():
+            grads, _ = g_y_step_grads(replace(trained, g_y=head), z2, mode)
+            optimizer_step(head, grads, opts[mode], "descend")
+        return losses
+
+    return step_fn, heads
+
+
+def test_label_heads_match_separate_runs():
+    ds = gaussian_mixture(300, 2, ((-2.0, -2.0), (2.0, 2.0)), 1.0, 0)
+    train_ds, val_ds, _ = split(ds, (0.8, 0.1, 0.1), seed=0)
+    model = build_model(2, 8, *class_priors(train_ds), seed=1, hidden=16)
+    cfg = TrainConfig(iterations=100, seed=1, eval_every=10)
+    step_fn, heads = with_label_heads(model, cfg)
+    trained, records = train(model, train_ds, cfg, val_data=val_ds, step_fn=step_fn)
+    _, base_records = train(model, train_ds, cfg, val_data=val_ds)
+    assert records == base_records
+    for mode in LABEL_HEAD_MODES:
+        alone, _ = train(model, train_ds, replace(cfg, g_y_loss_mode=mode, eval_every=0))
+        together = replace(trained, g_y=heads[mode])
+        for name, net in alone.nets().items():
+            assert together.nets()[name].flat.tobytes() == net.flat.tobytes(), (mode, name)
+
+
 @pytest.fixture(scope="module")
 def toy_benchmark():
     """5,000/class 2-D two-Gaussian benchmark trained with the default config.
 
-    The label generator's update is independent of every other net, so the
-    extra passes in the soft-target and generator-labels modes reuse the
-    same trajectory for the rest of the model.
+    One pass trains the model in the default mode and, beside it, a label
+    generator in each of the soft-target and generator-labels modes
+    (with_label_heads): the rest of the model follows the same trajectory.
     """
     start = time.time()
     ds = gaussian_mixture(5000, 2, ((-2.0, -2.0), (2.0, 2.0)), 1.0, 0)
     train_ds, val_ds, test_ds = split(ds, (0.8, 0.1, 0.1), seed=0)
     pi_p, pi_n = class_priors(train_ds)
     model = build_model(2, 8, pi_p, pi_n, seed=1, hidden=64)
-    trained, records = train(
-        model, train_ds, TrainConfig(iterations=2000, seed=1, eval_every=10), val_data=val_ds
-    )
-    trained_eq4, _ = train(
-        model, train_ds, TrainConfig(iterations=2000, seed=1, g_y_loss_mode="eq4")
-    )
-    trained_gl, _ = train(
-        model, train_ds, TrainConfig(iterations=2000, seed=1, g_y_loss_mode="generator-labels")
-    )
+    cfg = TrainConfig(iterations=2000, seed=1, eval_every=10)
+    step_fn, heads = with_label_heads(model, cfg)
+    trained, records = train(model, train_ds, cfg, val_data=val_ds, step_fn=step_fn)
     return {
         "train": train_ds,
         "test": test_ds,
         "model": trained,
-        "model_eq4": trained_eq4,
-        "model_gl": trained_gl,
+        "model_eq4": replace(trained, g_y=heads["eq4"]),
+        "model_gl": replace(trained, g_y=heads["generator-labels"]),
         "records": records,
         "elapsed": time.time() - start,
     }

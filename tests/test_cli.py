@@ -395,11 +395,12 @@ class TestTrainEval:
             (1, {"Gy": _gy(weight=float("nan"))}, "net 'Gy': non-finite parameters"),
             (1, {"Gy": _gy(weight=float("inf"))}, "net 'Gy': non-finite parameters"),
             (1, {"Gy": _gy(outputs=2)}, "Gy must map sample_dim -> 1"),
+            (1, {"Gy": _gy(weight=10**400)}, "net 'Gy': int too large to convert to float"),
             (True, {}, "checkpoint version true unsupported"),
             (1.0, {}, "checkpoint version 1.0 unsupported"),
             ("1", {}, 'checkpoint version "1" unsupported'),
         ],
-        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy",
+        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy", "huge-int-weight",
              "version-true", "version-float", "version-string"],
     )
     def test_eval_bad_checkpoint_exit_2(self, version, nets, needle, tmp_path, capsys):
@@ -418,6 +419,43 @@ class TestTrainEval:
 
 def _no_training(*args, **kwargs):
     raise AssertionError("a bad setting reached training")
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is bad JSON, not a crash."""
+
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    def test_eval_checkpoint_exit_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(self.NESTED)
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data.csv"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, "malformed checkpoint: maximum recursion")
+        assert not out.exists()
+
+    def test_train_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(self.NESTED)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"{cfg}: not valid JSON: maximum recursion")
+        assert not out.exists()
+
+    def test_corpus_evidence_exit_2(self, tmp_path, capsys):
+        cfg_path = corpus_config(tmp_path, claim_rows(12))
+        corpus = tmp_path / "claims.jsonl"
+        lines = corpus.read_text().splitlines(keepends=True)
+        lines[2] = '{"claim": "c", "evidence": %s, "label": "SUPPORTS"}\n' % self.NESTED
+        corpus.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 2
+        assert_one_error_line(
+            capsys.readouterr().err, f"{corpus}: malformed record on line 3: maximum recursion"
+        )
+        assert not out.exists()
 
 
 class TestRangeChecksBeforeTraining:

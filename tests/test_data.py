@@ -164,17 +164,14 @@ def _reference_embedding(pairs, dim, seed):
     """The original one-token-at-a-time embedding, kept as the reference."""
     features = np.zeros((len(pairs), dim))
     labels = np.zeros(len(pairs), dtype=np.int64)
-    zero_count = 0
     for i, (text, label) in enumerate(pairs):
         for tok in [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]:
             features[i, zlib.crc32(f"{seed}:{tok}".encode()) % dim] += 1.0
         norm = np.linalg.norm(features[i])
         if norm > 0:
             features[i] /= norm
-        else:
-            zero_count += 1
         labels[i] = label
-    return LabeledDataset(features, labels, zero_vector_count=zero_count)
+    return LabeledDataset(features, labels)
 
 
 class TestEmbedPairs:
@@ -182,16 +179,14 @@ class TestEmbedPairs:
         ds = embed_pairs([("the cat sat", 1), ("a dog ran", 0)], dim=16, seed=0)
         norms = np.linalg.norm(ds.features, axis=1)
         assert np.allclose(norms, 1.0)
-        assert ds.zero_vector_count == 0
 
     def test_tokenization_case_insensitive(self):
         a = embed_pairs([("The CAT", 1)], dim=16, seed=0)
         b = embed_pairs([("the cat", 1)], dim=16, seed=0)
         assert np.array_equal(a.features, b.features)
 
-    def test_empty_text_counted_as_zero_vector(self):
+    def test_empty_text_embeds_as_zero_row(self):
         ds = embed_pairs([("!!! ???", 1)], dim=16, seed=0)
-        assert ds.zero_vector_count == 1
         assert np.all(ds.features == 0.0)
 
     def test_seed_changes_embedding(self):
@@ -217,7 +212,6 @@ class TestEmbedPairs:
         assert got.features.shape == (len(pairs), dim)
         assert got.features.tobytes() == want.features.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
-        assert got.zero_vector_count == want.zero_vector_count
 
 
 def fever_train_counts() -> LabeledDataset:
@@ -363,4 +357,3 @@ def test_embedding_rows_unit_or_zero(pairs):
 def test_embedding_matches_reference_on_any_text(pairs, dim):
     got, want = embed_pairs(pairs, dim, 3), _reference_embedding(pairs, dim, 3)
     assert got.features.tobytes() == want.features.tobytes()
-    assert got.zero_vector_count == want.zero_vector_count

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimgan import equilibrium
 from claimgan.equilibrium import (
     EQUILIBRIUM_VALUE,
     MAX_GRID_POINTS,
@@ -208,7 +210,7 @@ class TestVerifyEquilibrium:
     def test_disjoint_onehot_case(self):
         report = verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=0.5, grid_step=0.05)
         assert report.passed
-        assert report.non_unique_minimizer  # any (a,1-a)/(1-a,a) pair ties
+        assert report.n_tied > 1  # any (a,1-a)/(1-a,a) pair ties
         assert np.allclose(report.minimizer_gp, [1.0, 0.0])
         assert np.allclose(report.minimizer_gn, [0.0, 1.0])
 
@@ -229,3 +231,89 @@ class TestVerifyEquilibrium:
     def test_large_support_rejected(self):
         with pytest.raises(ValueError):
             verify_equilibrium([0.2] * 5, [0.2] * 5, pi_p=0.5)
+
+
+class TestGridTies:
+    """Ties are every grid pair within 1e-9 of the grid minimum; v_star is
+    replaced by a crafted sequence of values, one per pair in row-major order."""
+
+    GRID = simplex_grid(2, 0.5)  # 3 points, 9 pairs
+
+    def verify_with_values(self, monkeypatch, head):
+        values = list(head) + [2.0] * (len(self.GRID) ** 2 - len(head))
+        calls = []
+
+        def crafted(p, gp, gn, pi_p, pi_n):
+            calls.append((gp.tolist(), gn.tolist()))
+            return values[len(calls) - 1]
+
+        monkeypatch.setattr(equilibrium, "v_star", crafted)
+        report = verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=0.5, grid_step=0.5)
+        grid = self.GRID.tolist()
+        assert calls == [(gp, gn) for gp in grid for gn in grid]
+        return report
+
+    def test_a_tie_of_the_minimum_is_kept_when_a_lower_value_follows(self, monkeypatch):
+        # 1 - 0.6e-9 is within 1e-9 of the minimum 1 - 1.2e-9; 1.0 is not
+        report = self.verify_with_values(monkeypatch, [1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9])
+        assert report.min_value == 1.0 - 1.2e-9
+        assert report.n_tied == 2
+
+    def test_a_value_over_1e9_above_the_minimum_is_no_tie(self, monkeypatch):
+        # 1 + 0.9e-9 is 1.4e-9 above the minimum 1 - 0.5e-9; 1.0 is a tie
+        report = self.verify_with_values(monkeypatch, [1.0, 1.0 + 0.9e-9, 1.0 - 0.5e-9])
+        assert report.min_value == 1.0 - 0.5e-9
+        assert report.n_tied == 2
+
+    def test_the_nearest_tie_to_the_target_is_the_minimizer(self, monkeypatch):
+        # pairs 0 ([0,1],[0,1]) and 6 ([1,0],[0,1]) tie; pair 6 is the target
+        report = self.verify_with_values(monkeypatch, [0.5, 2.0, 2.0, 2.0, 2.0, 2.0, 0.5])
+        assert report.n_tied == 2
+        assert report.minimizer_gp.tolist() == [1.0, 0.0]
+        assert report.minimizer_gn.tolist() == [0.0, 1.0]
+
+    def test_the_first_of_equally_near_ties_is_the_minimizer(self, monkeypatch):
+        # pairs 1 ([0,1],[.5,.5]) and 5 ([.5,.5],[1,0]) are both 3 from the target
+        report = self.verify_with_values(monkeypatch, [2.0, 0.5, 2.0, 2.0, 2.0, 0.5])
+        assert report.minimizer_gp.tolist() == [0.0, 1.0]
+        assert report.minimizer_gn.tolist() == [0.5, 0.5]
+
+
+class TestReportVerdict:
+    """`passed` is the conjunction of five measured conditions."""
+
+    @pytest.fixture
+    def report(self):
+        report = verify_equilibrium([0.75, 0.25], [0.25, 0.75], pi_p=0.5, grid_step=0.05)
+        assert report.passed
+        return report
+
+    @pytest.mark.parametrize(
+        "field", ["satisfies_gp_eq_pp", "satisfies_gn_eq_pn", "satisfies_mixture", "grid_contains_target"]
+    )
+    def test_fails_on_any_failed_check(self, report, field):
+        assert not dataclasses.replace(report, **{field: False}).passed
+
+    def test_fails_when_the_gap_exceeds_the_slack(self, report):
+        assert not dataclasses.replace(report, min_value=EQUILIBRIUM_VALUE + 0.06).passed
+        assert not dataclasses.replace(report, min_value=EQUILIBRIUM_VALUE - 0.06).passed
+        near = dataclasses.replace(report, min_value=EQUILIBRIUM_VALUE + 0.01)
+        assert near.passed
+        assert not dataclasses.replace(near, value_slack=0.005).passed
+
+    def test_fails_when_the_objective_swaps_the_generators(self, monkeypatch):
+        # with the priors' weights on the wrong generators, the minimizers
+        # nearest the target reach 0.8*p_gn + 0.2*p_gp = p, not p_gn = p_n
+        v_star = equilibrium.v_star
+        monkeypatch.setattr(
+            equilibrium, "v_star", lambda p, gp, gn, pi_p, pi_n: v_star(p, gn, gp, pi_p, pi_n)
+        )
+        report = verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=0.8, grid_step=0.05)
+        assert not report.satisfies_gn_eq_pn and not report.satisfies_mixture
+        assert not report.passed
+
+    @pytest.mark.parametrize("n_tied", [1, 2, 18])
+    def test_uniqueness_line(self, report, n_tied):
+        line = next(l for l in dataclasses.replace(report, n_tied=n_tied).lines() if "unique" in l)
+        assert line.endswith("yes") == (n_tied == 1)
+        assert line.endswith(f"no ({n_tied} tied)") == (n_tied > 1)
