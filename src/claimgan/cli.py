@@ -120,6 +120,11 @@ def cmd_eval(args) -> int:
     dataset = datamod.load_dataset(args.data)
     if len(dataset) == 0:
         raise ValueError(f"{args.data}: dataset file has no rows")
+    if nets["Gy"].input_dim != dataset.dim:
+        raise ValueError(
+            f"{args.checkpoint}: Gy takes {nets['Gy'].input_dim} features, "
+            f"but {args.data} has {dataset.dim}"
+        )
     _, preds = trigan.predict(nets["Gy"], dataset.features)
     p, r, f1, degenerate = metrics.precision_recall_f1(preds, dataset.labels)
     rec = metrics.MetricsRecord(run=0, iter=0, precision=p, recall=r, f1=f1)

@@ -399,6 +399,15 @@ def checkpoint_save(nets: dict[str, NeuralNet], path) -> None:
 
 
 def checkpoint_load(path) -> dict[str, NeuralNet]:
+    """The nets checkpoint_save wrote to `path`. A CheckpointError's message
+    starts with the path, as load_config's and load_claims' errors do."""
+    try:
+        return _read_checkpoint(path)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+
+
+def _read_checkpoint(path) -> dict[str, NeuralNet]:
     try:
         with open(path) as f:
             doc = json.load(f)

@@ -310,6 +310,9 @@ def bracket_value(disc: NeuralNet, gen: NeuralNet, real, z) -> float:
 #
 # Each returns (flat grads for the net being updated, the objective or loss
 # value its row's telemetry column takes, or None when the row has none).
+# One value has no column: g_y's under "alg1-line14", whose four forwards
+# exist only to compute it and which perfbench/run.py's FORWARDS_PER_STEP
+# counts.
 # Discriminator rules carry the prior factor their update line prints;
 # d_y's printed leading prior is dropped as a typo (it would rescale the
 # whole ascent direction by pi_p for no stated reason).
@@ -347,23 +350,24 @@ def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:
     return generator_grads(model.g_n, z, [(model.d_n, rule), (model.d_y, rule)]), None
 
 
-def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None, float]:
+def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None, float | None]:
+    # gradients of g_y_loss; no column takes its value
     pi_p, pi_n = model.pi_p, model.pi_n
     fake_p, _ = forward(model.g_p, z)
     fake_n, _ = forward(model.g_n, z)
     if mode == "generator-labels":
         # d_y takes no part in this loss, so it is not evaluated
         terms = [(fake_p, log_grad(-pi_p)), (fake_n, log1m_grad(-pi_n))]
-        grads, (u_p, u_n) = net_grads(model.g_y, terms)
-        return grads, g_y_loss(None, None, pi_p, pi_n, mode, u_p, u_n)
+        return net_grads(model.g_y, terms)[0], None
     t_p, _ = forward(model.d_y, fake_p)
     t_n, _ = forward(model.d_y, fake_n)
     if mode == "alg1-line14":
-        # the printed rule contains no g_y term: the gradient is known zero
+        # the printed rule contains no g_y term: the gradient is known zero.
+        # The value is computed only because FORWARDS_PER_STEP in
+        # perfbench/run.py counts the four forwards that feed it.
         return None, g_y_loss(t_p, t_n, pi_p, pi_n, mode)
     terms = [(fake_p, log_grad(-pi_p * t_p)), (fake_n, log_grad(-pi_n * t_n))]
-    grads, (u_p, u_n) = net_grads(model.g_y, terms)
-    return grads, g_y_loss(t_p, t_n, pi_p, pi_n, mode, u_p, u_n)
+    return net_grads(model.g_y, terms)[0], None
 
 
 # --- one training iteration, as a table of updates ---------------------------
@@ -471,6 +475,7 @@ def train(
                 n_gen = min(cfg.similarity_sample_cap, len(pos_rows))
                 z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
                 gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
+                del z_eval  # not held through the pairing
                 rec.cos, rec.man, rec.euc = similarity_report(
                     allx[pos_rows],
                     gen_pos,
@@ -478,7 +483,7 @@ def train(
                     seed=int(eval_rng.integers(0, 2**32)),
                     pairing=cfg.pairing,
                 )
-                del z_eval, gen_pos  # not kept alive through the next eval_every steps
+                del gen_pos  # not kept alive through the next eval_every steps
             records.append(rec)
     return model, records
 

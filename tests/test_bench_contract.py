@@ -20,6 +20,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ def test_an_evaluating_iteration_adds_the_benchmarks_forwards_per_eval(monkeypat
     assert calls[1] - calls[0] == per_eval
 
 
+def _step_inputs(mode: str):
+    """A small model, a TrainConfig in g_y `mode`, and one step's batches
+    (x_p, x_n, x, z, z2)."""
+    model = trigan.build_model(2, 3, 0.6, 0.4, seed=0, hidden=8)
+    cfg = trigan.TrainConfig(iterations=1, g_y_loss_mode=mode)
+    rng = np.random.default_rng(0)
+    x_p, x_n, x = (rng.standard_normal((4, 2)) for _ in range(3))
+    z, z2 = (rng.standard_normal((4, 3)) for _ in range(2))
+    return model, cfg, (x_p, x_n, x, z, z2)
+
+
+# (row, g_y mode) pairs whose row computes a value that no column takes:
+# g_y's four forwards under alg1-line14 feed only its loss, and run.py's
+# FORWARDS_PER_STEP counts them
+VALUE_WITHOUT_COLUMN = {(id(trigan.G_Y_ROW), "alg1-line14")}
+
+
+@pytest.mark.parametrize("variant, mode", sorted(WORK_PER_STEP))
+def test_a_row_computes_a_value_exactly_when_a_column_takes_it(variant, mode):
+    """The README's row contract, for every table and g_y mode above."""
+    model, cfg, batches = _step_inputs(mode)
+    batches = SimpleNamespace(**dict(zip(("x_p", "x_n", "x", "z", "z2"), batches)))
+    for row in STEP_TABLES[variant]:
+        net, rule, column = row
+        _, value = rule(model, cfg, batches)
+        wants_value = column is not None or (id(row), mode) in VALUE_WITHOUT_COLUMN
+        assert (value is not None) == wants_value, net
+
+
 @pytest.mark.parametrize("variant, mode", sorted(WORK_PER_STEP))
 def test_work_per_step(variant, mode, monkeypatch):
     work = ("forward", "backward", "optimizer_step")
@@ -184,13 +214,9 @@ def test_work_per_step(variant, mode, monkeypatch):
     results = {}
     counts = _count_calls(monkeypatch, [("nets", n) for n in work] + rules, results)
 
-    model = trigan.build_model(2, 3, 0.6, 0.4, seed=0, hidden=8)
+    model, cfg, batches = _step_inputs(mode)
     opts = {name: make_optimizer(net) for name, net in model.nets().items()}
-    cfg = trigan.TrainConfig(iterations=1, g_y_loss_mode=mode)
-    rng = np.random.default_rng(0)
-    x_p, x_n, x = (rng.standard_normal((4, 2)) for _ in range(3))
-    z, z2 = (rng.standard_normal((4, 3)) for _ in range(2))
-    STEP_FUNCTIONS[variant](model, opts, cfg, x_p, x_n, x, z, z2)
+    STEP_FUNCTIONS[variant](model, opts, cfg, *batches)
     assert tuple(counts[n] for n in work) == WORK_PER_STEP[variant, mode]
     # optimizer steps are exactly the rule calls that returned a gradient
     # (a rebound rule, so none bypasses the tracer)

@@ -395,13 +395,14 @@ class TestTrainEval:
             (1, {"Gy": _gy(weight=float("nan"))}, "net 'Gy': non-finite parameters"),
             (1, {"Gy": _gy(weight=float("inf"))}, "net 'Gy': non-finite parameters"),
             (1, {"Gy": _gy(outputs=2)}, "Gy must map sample_dim -> 1"),
+            (1, {"Gy": {**_gy(), "dims": [3, 1]}}, "net 'Gy': parameter shape mismatch"),
             (1, {"Gy": _gy(weight=10**400)}, "net 'Gy': int too large to convert to float"),
             (True, {}, "checkpoint version true unsupported"),
             (1.0, {}, "checkpoint version 1.0 unsupported"),
             ("1", {}, 'checkpoint version "1" unsupported'),
         ],
-        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy", "huge-int-weight",
-             "version-true", "version-float", "version-string"],
+        ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy", "shape-mismatch",
+             "huge-int-weight", "version-true", "version-float", "version-string"],
     )
     def test_eval_bad_checkpoint_exit_2(self, version, nets, needle, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
@@ -413,7 +414,23 @@ class TestTrainEval:
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "dataset.csv"),
                 "--out", str(out)]
         assert main(argv) == 2
-        assert_one_error_line(capsys.readouterr().err, needle)
+        err = capsys.readouterr().err
+        assert_one_error_line(err, needle)
+        assert err.startswith(f"error: {ckpt}: "), err
+        assert not out.exists()
+
+    def test_eval_gy_width_mismatch_names_both_files(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        checkpoint_save({"Gy": net_init([3, 4, 1], ["relu", "sigmoid"], 0)}, ckpt)
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen-data", "--config", write_config(tmp_path, toy_config()),
+                     "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        data = data_dir / "dataset.csv"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"error: {ckpt}: Gy takes 3 features, but {data} has 2")
         assert not out.exists()
 
 
@@ -433,7 +450,8 @@ class TestDeeplyNestedJson:
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data.csv"),
                 "--out", str(out)]
         assert main(argv) == 2
-        assert_one_error_line(capsys.readouterr().err, "malformed checkpoint: maximum recursion")
+        assert_one_error_line(capsys.readouterr().err,
+                              f"error: {ckpt}: malformed checkpoint: maximum recursion")
         assert not out.exists()
 
     def test_train_config_exit_2(self, tmp_path, capsys):

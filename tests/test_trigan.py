@@ -1,12 +1,15 @@
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from claimgan import trigan
 from claimgan.data import gaussian_mixture
 from claimgan.gradcheck import _random_instance
+from claimgan.metrics import similarity_report
 from claimgan.nets import (
     Layer,
     NeuralNet,
@@ -413,6 +416,34 @@ class TestTrain:
         _, records = train(m, toy_data, TrainConfig(iterations=2, seed=1, eval_every=2), empty)
         assert records[1].f1 is None and records[1].cos is not None
 
+    def test_eval_noise_is_freed_before_pairing(self, toy_data, monkeypatch):
+        noise, alive_at_report = [], []
+
+        class RecordingRng:
+            """An eval RNG that keeps a weak reference to each noise draw."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                noise.append(weakref.ref(out))
+                return out
+
+            def integers(self, *args):
+                return self.rng.integers(*args)
+
+        def report(*args, **kwargs):
+            alive_at_report.append([ref() is not None for ref in noise])
+            return similarity_report(*args, **kwargs)
+
+        eval_seed = trigan._eval_seed
+        monkeypatch.setattr(trigan, "_eval_seed", lambda *a: RecordingRng(eval_seed(*a)))
+        monkeypatch.setattr(trigan, "similarity_report", report)
+        m = build_model(2, 3, 0.5, 0.5, seed=0, hidden=8)
+        train(m, toy_data, TrainConfig(iterations=4, seed=1, eval_every=2))
+        assert alive_at_report == [[False], [False, False]]
+
     def test_a_row_without_gradient_takes_no_step(self):
         m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
         opts = {name: make_optimizer(net) for name, net in m.nets().items()}
@@ -434,6 +465,17 @@ class TestGradientRules:
         grads, loss = g_y_step_grads(m, z, "alg1-line14")
         assert math.isfinite(loss)
         assert grads is None  # known zero, so run_steps takes no g_y step
+
+    @pytest.mark.parametrize("mode", ["eq4", "generator-labels"])
+    def test_trained_g_y_modes_compute_no_loss(self, mode, monkeypatch):
+        def no_loss(*args, **kwargs):
+            raise AssertionError("g_y_loss computed for no column")
+
+        monkeypatch.setattr(trigan, "g_y_loss", no_loss)
+        m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)
+        z = np.random.default_rng(0).standard_normal((4, 2))
+        grads, loss = g_y_step_grads(m, z, mode)
+        assert grads is not None and loss is None
 
     def test_eq4_g_y_gradient_is_nonzero(self):
         m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)
