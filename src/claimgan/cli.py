@@ -58,29 +58,35 @@ def _build_splits(cfg: RunConfig):
     return splits
 
 
-def _run_one(cfg: RunConfig, splits, seed: int, run_id: int):
-    """Train one model on _build_splits(cfg); returns (nets dict, telemetry,
-    final test metrics)."""
+def _run_one(args, cfg: RunConfig, splits, seed: int, run_id: int, telemetry_name: str):
+    """Train one model on _build_splits(cfg) and write its telemetry to
+    `telemetry_name` under --out, also the rows before a failed iteration;
+    returns (nets dict, final test metrics)."""
     train_ds, val_ds, test_ds = splits
     priors = cfg.priors or datamod.class_priors(train_ds)
     tcfg = cfg.train_config(seed=seed)
-    if cfg.variant == "baseline":
-        net, telemetry = variants.baseline_train(
-            train_ds, tcfg, val_data=val_ds, run_id=run_id, hidden=cfg.hidden
-        )
-        nets = {"Gy": net}
-    else:
-        model = trigan.build_model(
-            train_ds.dim, cfg.noise_dim, priors[0], priors[1], seed, hidden=cfg.hidden
-        )
-        model, telemetry = trigan.train(
-            model, train_ds, tcfg, val_data=val_ds, run_id=run_id,
-            step_fn=variants.STEP_FUNCTIONS[cfg.variant],
-        )
-        nets = {CHECKPOINT_NAMES[k]: v for k, v in model.nets().items()}
+    try:
+        if cfg.variant == "baseline":
+            net, telemetry = variants.baseline_train(
+                train_ds, tcfg, val_data=val_ds, run_id=run_id, hidden=cfg.hidden
+            )
+            nets = {"Gy": net}
+        else:
+            model = trigan.build_model(
+                train_ds.dim, cfg.noise_dim, priors[0], priors[1], seed, hidden=cfg.hidden
+            )
+            model, telemetry = trigan.train(
+                model, train_ds, tcfg, val_data=val_ds, run_id=run_id,
+                step_fn=variants.STEP_FUNCTIONS[cfg.variant],
+            )
+            nets = {CHECKPOINT_NAMES[k]: v for k, v in model.nets().items()}
+    except trigan.TrainingError as e:
+        metrics.emit(e.records, _out_path(args, telemetry_name))
+        raise
+    metrics.emit(telemetry, _out_path(args, telemetry_name))
     _, preds = trigan.predict(nets["Gy"], test_ds.features)
     p, r, f1, _ = metrics.precision_recall_f1(preds, test_ds.labels)
-    return nets, telemetry, {"precision": p, "recall": r, "f1": f1}
+    return nets, {"precision": p, "recall": r, "f1": f1}
 
 
 def _out_path(args, name: str) -> str:
@@ -101,9 +107,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_with_overrides(args)
-    nets, telemetry, final = _run_one(cfg, _build_splits(cfg), cfg.seed, run_id=0)
+    nets, final = _run_one(args, cfg, _build_splits(cfg), cfg.seed, 0, "telemetry.csv")
     checkpoint_save(nets, _out_path(args, "checkpoint.json"))
-    metrics.emit(telemetry, _out_path(args, "telemetry.csv"))
     print(
         f"test precision={final['precision']:.6f} recall={final['recall']:.6f} "
         f"f1={final['f1']:.6f}"
@@ -140,8 +145,7 @@ def cmd_repeat(args) -> int:
     per_run = []
     for i in range(cfg.repeats):
         seed = cfg.seed + i
-        nets, telemetry, final = _run_one(cfg, splits, seed, run_id=i)
-        metrics.emit(telemetry, _out_path(args, f"telemetry_run{i}.csv"))
+        nets, final = _run_one(args, cfg, splits, seed, i, f"telemetry_run{i}.csv")
         checkpoint_save(nets, _out_path(args, f"checkpoint_run{i}.json"))
         per_run.append(final)
         print(

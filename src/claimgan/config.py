@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .data import is_distribution
+from .fileio import read_lines
 from .trigan import TrainConfig
 from .variants import STEP_FUNCTIONS
 
@@ -211,8 +212,7 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads("".join(read_lines(path)))
     except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"{path}: not valid JSON: {e}") from e
     return parse_config(doc)

@@ -10,13 +10,14 @@ evidence sentence.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import atomic_open, read_lines
 
 # how far fractions that must sum to 1 (class priors, split fractions) may miss
 SUM_TOLERANCE = 1e-9
@@ -113,37 +114,36 @@ def load_claims(path) -> CorpusLoadResult:
     records: list[ClaimRecord] = []
     skipped = 0
     rejected = 0
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                claim = obj["claim"]
-                evidence = obj["evidence"]
-                label_text = obj["label"]
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}: malformed record on line {lineno}: {e}") from e
-            if not isinstance(label_text, str):
-                raise ValueError(f"{path}: line {lineno}: label must be a string")
-            norm = label_text.strip().lower()
-            if norm in _SUPPORTED_ALIASES:
-                label = LABEL_SUPPORTED
-            elif norm in _REFUTED_ALIASES:
-                label = LABEL_REFUTED
-            else:
-                skipped += 1
-                continue
-            if not isinstance(claim, str):
-                raise ValueError(f"{path}: line {lineno}: claim must be a string")
-            if not isinstance(evidence, list) or not all(
-                isinstance(e, str) for e in evidence
-            ):
-                raise ValueError(f"{path}: line {lineno}: evidence must be a list of strings")
-            if not evidence:
-                rejected += 1
-                continue
-            records.append(ClaimRecord(claim, list(evidence), label))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            claim = obj["claim"]
+            evidence = obj["evidence"]
+            label_text = obj["label"]
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: malformed record on line {lineno}: {e}") from e
+        if not isinstance(label_text, str):
+            raise ValueError(f"{path}: line {lineno}: label must be a string")
+        norm = label_text.strip().lower()
+        if norm in _SUPPORTED_ALIASES:
+            label = LABEL_SUPPORTED
+        elif norm in _REFUTED_ALIASES:
+            label = LABEL_REFUTED
+        else:
+            skipped += 1
+            continue
+        if not isinstance(claim, str):
+            raise ValueError(f"{path}: line {lineno}: claim must be a string")
+        if not isinstance(evidence, list) or not all(
+            isinstance(e, str) for e in evidence
+        ):
+            raise ValueError(f"{path}: line {lineno}: evidence must be a list of strings")
+        if not evidence:
+            rejected += 1
+            continue
+        records.append(ClaimRecord(claim, list(evidence), label))
     return CorpusLoadResult(records, skipped, rejected)
 
 
@@ -262,26 +262,30 @@ def save_dataset(dataset: LabeledDataset, path) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("label,"):
-            raise ValueError(f"{path}: not a dataset file (bad header)")
-        dim = len(header.rstrip("\n").split(",")) - 1
-        features = []
-        labels = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} features, got {len(parts) - 1}"
-                )
-            try:
-                labels.append(int(parts[0]))
-                features.append([float(v) for v in parts[1:]])
-            except ValueError as e:
-                raise ValueError(f"{path}: malformed row on line {lineno}") from e
+    lines = read_lines(path)
+    header = next(lines, "")
+    if not header.startswith("label,"):
+        raise ValueError(f"{path}: not a dataset file (bad header)")
+    dim = len(header.rstrip("\n").split(",")) - 1
+    features = []
+    labels = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != dim + 1:
+            raise ValueError(f"{path}: line {lineno}: expected {dim} features, got {len(parts) - 1}")
+        try:
+            label = int(parts[0])
+            row = [float(v) for v in parts[1:]]
+        except ValueError as e:
+            raise ValueError(f"{path}: malformed row on line {lineno}") from e
+        if label not in (0, 1):
+            raise ValueError(f"{path}: line {lineno}: labels must be 0 or 1, got {label}")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite features")
+        labels.append(label)
+        features.append(row)
     # every row has dim features, so an empty file still gives shape (0, dim)
     features = np.array(features, dtype=np.float64).reshape(len(labels), dim)
     return LabeledDataset(features, np.array(labels, dtype=np.int64))

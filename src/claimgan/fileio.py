@@ -1,5 +1,6 @@
-"""Crash-safe writes: every output file is written beside its target under
-a temporary name and renamed into place only once it is complete."""
+"""Text input that names its file, and crash-safe writes: every output file
+is written beside its target under a temporary name and renamed into place
+only once it is complete."""
 
 from __future__ import annotations
 
@@ -26,3 +27,22 @@ def atomic_open(path, newline: str | None = None):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def read_lines(path):
+    """Yield the lines of the UTF-8 text file at `path`, as open() does. Bytes
+    that are not UTF-8 raise a ValueError naming the path and the line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from f
+            return
+        except UnicodeDecodeError:
+            pass
+    # the decoder works in blocks, so the failing line is found in the raw bytes
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 text ({e.reason})") from e
+    raise ValueError(f"{path}: not UTF-8 text")

@@ -175,7 +175,8 @@ def _glibc_heap_calls():
 def keep_heap_for_steps():
     """Keep the heap's free top between training steps while the block
     runs, and hand it back to the OS when the block ends, normally or by
-    an exception. The training loops hold it around their iterations.
+    an exception. trigan.run_loop, the one loop that both trainers run,
+    holds it around its iterations.
 
     Each step frees its temporaries at the top of the heap. Below glibc's
     trim threshold that memory is kept; above it, glibc gives it back and

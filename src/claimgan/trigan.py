@@ -414,15 +414,52 @@ def _eval_seed(base_seed: int, run_id: int, iteration: int) -> np.random.Generat
     return np.random.default_rng([base_seed, run_id, iteration, 0xE7A1])
 
 
-def scored_val_data(val_data: LabeledDataset | None, dim: int) -> LabeledDataset | None:
-    """The validation set a training loop scores, or None to score none
-    (none given, or empty). Rejects a non-empty set whose samples are not
-    `dim` wide before the first step, not at the first eval."""
-    if val_data is None or not len(val_data):
-        return None
-    if val_data.dim != dim:
-        raise ValueError(f"val_data dim {val_data.dim} does not match model sample_dim {dim}")
-    return val_data
+class TrainingError(ValueError):
+    """An iteration of run_loop failed; `records` holds the telemetry of the
+    iterations before it."""
+
+    def __init__(self, iteration: int, cause: Exception, records: list[MetricsRecord]):
+        super().__init__(f"iteration {iteration}: {cause}")
+        self.records = records
+
+
+def run_loop(cfg: TrainConfig, run_id: int, data: LabeledDataset,
+             val_data: LabeledDataset | None, step, classify, on_eval=None) -> list[MetricsRecord]:
+    """The minibatch loop both trainers run (Goodfellow et al., NeurIPS 2014,
+    Algorithm 1); returns one telemetry record per iteration.
+
+    Before the first step it rejects empty or single-class `data` and a
+    non-empty `val_data` of another width; an empty `val_data` is not scored.
+    Iteration `it` fills its record from step(rng), a {column: value} dict,
+    all iterations drawing from one default_rng(cfg.seed). Every
+    cfg.eval_every iterations P/R/F1 score classify(val_data.features)'s hard
+    labels, then on_eval(record, it) runs. A ValueError in an iteration
+    stops the loop as a TrainingError that keeps the records before it.
+    """
+    class_priors(data)  # rejects empty or single-class data
+    if val_data is not None and not len(val_data):
+        val_data = None
+    elif val_data is not None and val_data.dim != data.dim:
+        raise ValueError(f"val_data dim {val_data.dim} does not match model sample_dim {data.dim}")
+    rng = np.random.default_rng(cfg.seed)
+    records: list[MetricsRecord] = []
+    # a failed iteration is reported once, by the TrainingError below, not
+    # also by numpy's overflow and invalid-value warnings
+    with keep_heap_for_steps(), np.errstate(all="ignore"):
+        for it in range(1, cfg.iterations + 1):
+            try:
+                rec = MetricsRecord(run=run_id, iter=it, **step(rng))
+                if cfg.eval_every and it % cfg.eval_every == 0:
+                    if val_data is not None:
+                        preds = classify(val_data.features)
+                        p, r, f1, _ = precision_recall_f1(preds, val_data.labels)
+                        rec.precision, rec.recall, rec.f1 = p, r, f1
+                    if on_eval is not None:
+                        on_eval(rec, it)
+            except ValueError as e:  # a non-finite gradient, say
+                raise TrainingError(it, e, records) from e
+            records.append(rec)
+    return records
 
 
 def train(
@@ -435,18 +472,13 @@ def train(
 ) -> tuple[TriGanModel, list[MetricsRecord]]:
     """Run the training loop on a copy of the model.
 
-    One telemetry record per iteration; precision/recall/F1 on val_data and
-    similarity scores against the real positives are filled in every
-    cfg.eval_every iterations. An empty val_data leaves P/R/F1 empty.
+    run_loop's records, with similarity scores against the real positives
+    beside P/R/F1 every cfg.eval_every iterations. An empty val_data leaves
+    P/R/F1 empty.
     """
-    class_priors(data)  # rejects empty or single-class data
     if data.dim != model.sample_dim:
         raise ValueError("dataset dim does not match model sample_dim")
-    val_data = scored_val_data(val_data, model.sample_dim)
     model = model.copy()
-    if cfg.iterations == 0:
-        return model, []
-    rng = np.random.default_rng(cfg.seed)
     opts = {
         name: make_optimizer(net, cfg.optimizer, cfg.lr_for(name))
         for name, net in model.nets().items()
@@ -457,34 +489,31 @@ def train(
     pos_rows = np.flatnonzero(data.labels == 1)
     neg_rows = np.flatnonzero(data.labels == 0)
     m = cfg.batch_size
-    records: list[MetricsRecord] = []
-    with keep_heap_for_steps():
-        for it in range(1, cfg.iterations + 1):
-            z = rng.standard_normal((m, model.noise_dim))
-            x_p = allx[pos_rows[rng.integers(0, len(pos_rows), m)]]
-            x_n = allx[neg_rows[rng.integers(0, len(neg_rows), m)]]
-            x = allx[rng.integers(0, allx.shape[0], m)]
-            z2 = rng.standard_normal((m, model.noise_dim))
-            rec = MetricsRecord(run=run_id, iter=it, **step_fn(model, opts, cfg, x_p, x_n, x, z, z2))
-            if cfg.eval_every and it % cfg.eval_every == 0:
-                eval_rng = _eval_seed(cfg.seed, run_id, it)
-                if val_data is not None:
-                    preds = classify_batch(model, val_data.features)[1]
-                    p, r, f1, _ = precision_recall_f1(preds, val_data.labels)
-                    rec.precision, rec.recall, rec.f1 = p, r, f1
-                n_gen = min(cfg.similarity_sample_cap, len(pos_rows))
-                z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
-                gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
-                del z_eval  # not held through the pairing
-                rec.cos, rec.man, rec.euc = similarity_report(
-                    allx[pos_rows],
-                    gen_pos,
-                    n_cap=cfg.similarity_sample_cap,
-                    seed=int(eval_rng.integers(0, 2**32)),
-                    pairing=cfg.pairing,
-                )
-                del gen_pos  # not kept alive through the next eval_every steps
-            records.append(rec)
+
+    def step(rng):
+        z = rng.standard_normal((m, model.noise_dim))
+        x_p = allx[pos_rows[rng.integers(0, len(pos_rows), m)]]
+        x_n = allx[neg_rows[rng.integers(0, len(neg_rows), m)]]
+        x = allx[rng.integers(0, allx.shape[0], m)]
+        z2 = rng.standard_normal((m, model.noise_dim))
+        return step_fn(model, opts, cfg, x_p, x_n, x, z, z2)
+
+    def similarity_eval(rec, it):
+        eval_rng = _eval_seed(cfg.seed, run_id, it)
+        n_gen = min(cfg.similarity_sample_cap, len(pos_rows))
+        z_eval = eval_rng.standard_normal((n_gen, model.noise_dim))
+        gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
+        del z_eval  # not held through the pairing
+        rec.cos, rec.man, rec.euc = similarity_report(
+            allx[pos_rows],
+            gen_pos,
+            n_cap=cfg.similarity_sample_cap,
+            seed=int(eval_rng.integers(0, 2**32)),
+            pairing=cfg.pairing,
+        )
+
+    records = run_loop(cfg, run_id, data, val_data, step,
+                       lambda xs: classify_batch(model, xs)[1], similarity_eval)
     return model, records
 
 

@@ -21,15 +21,9 @@ from functools import partial
 import numpy as np
 
 from . import trigan
-from .data import LabeledDataset, class_priors
-from .metrics import MetricsRecord, precision_recall_f1
-from .nets import (
-    NeuralNet,
-    ParamGrads,
-    keep_heap_for_steps,
-    make_optimizer,
-    optimizer_step,
-)
+from .data import LabeledDataset
+from .metrics import MetricsRecord
+from .nets import NeuralNet, ParamGrads, make_optimizer, optimizer_step
 from .trigan import TrainConfig, TriGanModel
 
 
@@ -134,28 +128,20 @@ def baseline_train(
     """Plain BCE classifier on the same telemetry pipeline.
 
     The cross-entropy value is recorded in the loss_label column."""
-    class_priors(data)  # rejects empty / single-class data
-    val_data = trigan.scored_val_data(val_data, data.dim)
-    rng = np.random.default_rng(cfg.seed)
     net_seed = int(np.random.SeedSequence(cfg.seed).generate_state(1)[0])
     net = trigan.judge_net(data.dim, hidden, net_seed)
-    if cfg.iterations == 0:
-        return net, []
     opt = make_optimizer(net, cfg.optimizer, cfg.learning_rate)
-    records: list[MetricsRecord] = []
     n = len(data)
-    with keep_heap_for_steps():
-        for it in range(1, cfg.iterations + 1):
-            idx = rng.integers(0, n, cfg.batch_size)
-            xb = data.features[idx]
-            yb = data.labels[idx].astype(np.float64).reshape(-1, 1)
-            grads, (s,) = trigan.net_grads(net, [(xb, lambda s, m: (s - yb) / (m * s * (1 - s)))])
-            bce = float(-(yb * np.log(s) + (1 - yb) * np.log(1 - s)).mean())
-            optimizer_step(net, grads, opt, "descend")
-            rec = MetricsRecord(run=run_id, iter=it, loss_label=bce)
-            if cfg.eval_every and it % cfg.eval_every == 0 and val_data is not None:
-                _, preds = trigan.predict(net, val_data.features)
-                p, r, f1, _ = precision_recall_f1(preds, val_data.labels)
-                rec.precision, rec.recall, rec.f1 = p, r, f1
-            records.append(rec)
+
+    def step(rng):
+        idx = rng.integers(0, n, cfg.batch_size)
+        xb = data.features[idx]
+        yb = data.labels[idx].astype(np.float64).reshape(-1, 1)
+        grads, (s,) = trigan.net_grads(net, [(xb, lambda s, m: (s - yb) / (m * s * (1 - s)))])
+        bce = float(-(yb * np.log(s) + (1 - yb) * np.log(1 - s)).mean())
+        optimizer_step(net, grads, opt, "descend")
+        return {"loss_label": bce}
+
+    records = trigan.run_loop(cfg, run_id, data, val_data, step,
+                              lambda xs: trigan.predict(net, xs)[1])
     return net, records

@@ -434,6 +434,74 @@ class TestTrainEval:
         assert not out.exists()
 
 
+class TestBadFileNamesItself:
+    """An input file that cannot be read names itself, and the line where it
+    can, in the one error line."""
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(json.dumps(toy_config()).encode().replace(b"toy-mixture", b"toy\xff"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"error: {cfg}: line 1: not UTF-8 text")
+        assert not out.exists()
+
+    def test_corpus_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg_path = corpus_config(tmp_path, claim_rows(12))
+        corpus = tmp_path / "claims.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"claim 2", b"claim \xff")
+        corpus.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"error: {corpus}: line 3: not UTF-8 text")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, needle",
+        [(b"\xff,0.5,0.5", "not UTF-8 text"), (b"2,0.5,0.5", "labels must be 0 or 1, got 2"),
+         (b"1,nan,0.5", "non-finite features"), (b"0,0.5,1e999", "non-finite features")],
+        ids=["not-utf8", "label-2", "nan", "overflow"],
+    )
+    def test_eval_dataset_row_exit_2(self, row, needle, tmp_path, capsys):
+        ckpt, data_path, out = tmp_path / "ckpt.json", tmp_path / "data.csv", tmp_path / "out"
+        ckpt.write_text(json.dumps({"version": 1, "nets": {"Gy": _gy()}}))
+        data_path.write_bytes(b"label,f_0,f_1\n1,0.5,0.5\n" + row + b"\n0,0.1,0.1\n")
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err, f"error: {data_path}: line 3: {needle}")
+        assert not out.exists()
+
+
+class TestFailedIteration:
+    """A run that fails in an iteration writes the telemetry rows of the
+    iterations before it, no checkpoint and no summary, and exits 2."""
+
+    @pytest.mark.parametrize("command", ["train", "repeat"])
+    @pytest.mark.parametrize(
+        "variant, learning_rate, failed", [("proposed", 100.0, 4), ("baseline", 1e10, 6)]
+    )
+    def test_writes_the_rows_before_the_failure(
+        self, command, variant, learning_rate, failed, tmp_path, capsys
+    ):
+        # eval_every 2 puts eval rows before the failure
+        settings = {"variant": variant, "optimizer": "sgd", "learning_rate": learning_rate,
+                    "eval_every": 2}
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, toy_config(**settings)), "--out"]
+        assert main([*argv, str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"error: iteration {failed}: non-finite gradients")
+        telemetry = "telemetry.csv" if command == "train" else "telemetry_run0.csv"
+        assert [p.name for p in out.iterdir()] == [telemetry]
+        completed = toy_config(**settings, iterations=failed - 1)
+        argv = ["train", "--config", write_config(tmp_path, completed, "completed.json")]
+        assert main([*argv, "--out", str(tmp_path / "completed")]) == 0
+        rows = (out / telemetry).read_bytes()
+        assert rows == (tmp_path / "completed" / "telemetry.csv").read_bytes()
+        assert len(load_records(out / telemetry)) == failed - 1
+
+
 def _no_training(*args, **kwargs):
     raise AssertionError("a bad setting reached training")
 

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from claimgan import trigan
-from claimgan.data import gaussian_mixture
+from claimgan import trigan, variants
+from claimgan.data import LabeledDataset, gaussian_mixture
 from claimgan.gradcheck import _random_instance
 from claimgan.metrics import similarity_report
 from claimgan.nets import (
@@ -37,10 +37,10 @@ from claimgan.trigan import (
     g_y_step_grads,
     gan_objective,
     predict,
-    proposed_step,
     run_steps,
     train,
 )
+from claimgan.variants import baseline_train
 
 from flat_layout import unflatten
 
@@ -331,14 +331,52 @@ def toy_data():
     )
 
 
+def _fit_model(data, cfg, val_data=None):
+    m = build_model(data.dim, 2, 0.5, 0.5, seed=0, hidden=8)
+    trained, records = train(m, data, cfg, val_data)
+    return [net.flat for net in m.nets().values()], trained.nets().values(), records
+
+
+def _fit_baseline(data, cfg, val_data=None):
+    net, records = baseline_train(data, cfg, val_data, hidden=8)
+    seed = int(np.random.SeedSequence(cfg.seed).generate_state(1)[0])
+    return [trigan.judge_net(data.dim, 8, seed).flat], [net], records
+
+
+# each trainer -> (fit returning (initial flats, trained nets, records), the
+# columns its eval fills beside P/R/F1); both run trigan.run_loop
+TRAINERS = {
+    "train": (_fit_model, ("cos", "man", "euc")),
+    "baseline_train": (_fit_baseline, ()),
+}
+
+
+@pytest.fixture(params=sorted(TRAINERS))
+def trainer(request):
+    return TRAINERS[request.param]
+
+
+@pytest.fixture
+def optimizer_steps(monkeypatch):
+    """The nets that either trainer steps, in order."""
+    stepped = []
+
+    def counting_step(net, *args):
+        stepped.append(net)
+        return real(net, *args)
+
+    real = trigan.optimizer_step
+    for module in (trigan, variants):
+        monkeypatch.setattr(module, "optimizer_step", counting_step)
+    return stepped
+
+
 class TestTrain:
-    def test_zero_iterations_identity(self, toy_data):
-        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
-        trained, records = train(m, toy_data, TrainConfig(iterations=0))
-        assert records == []
-        for name in NET_NAMES:
-            for la, lb in zip(getattr(m, name).layers, getattr(trained, name).layers):
-                assert np.array_equal(la.weight, lb.weight)
+    def test_zero_iterations_identity(self, trainer, toy_data, optimizer_steps):
+        initial, trained, records = trainer[0](toy_data, TrainConfig(iterations=0))
+        assert records == [] and optimizer_steps == []
+        for before, net in zip(initial, trained, strict=True):
+            assert np.array_equal(before, net.flat)
 
     def test_input_model_not_mutated(self, toy_data):
         m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
@@ -367,54 +405,57 @@ class TestTrain:
         _, b = train(m, toy_data, TrainConfig(iterations=5, seed=4))
         assert a[-1].loss_pos != b[-1].loss_pos
 
-    def test_eval_fields_filled_on_cadence(self, toy_data):
-        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
+    def test_eval_fields_filled_on_cadence(self, trainer, toy_data):
+        fit, eval_columns = trainer
         cfg = TrainConfig(iterations=6, seed=1, eval_every=3)
-        _, records = train(m, toy_data, cfg, val_data=toy_data)
+        *_, records = fit(toy_data, cfg, val_data=toy_data)
         for r in records:
-            if r.iter % 3 == 0:
-                assert r.f1 is not None and r.cos is not None
-            else:
-                assert r.f1 is None and r.cos is None
+            filled = [getattr(r, c) is not None for c in ("precision", "recall", "f1", *eval_columns)]
+            assert filled == [r.iter % 3 == 0] * len(filled)
 
-    def test_single_class_data_rejected(self, toy_data):
-        from claimgan.data import LabeledDataset
-
+    def test_single_class_data_rejected(self, trainer, toy_data, optimizer_steps):
         pos_only = LabeledDataset(
             features=toy_data.features[toy_data.labels == 1], labels=np.ones(200, dtype=np.int64)
         )
-        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
-        with pytest.raises(ValueError):
-            train(m, pos_only, TrainConfig(iterations=1))
+        with pytest.raises(ValueError, match="single class"):
+            trainer[0](pos_only, TrainConfig(iterations=1))
+        assert optimizer_steps == []
 
     def test_dim_mismatch_rejected(self, toy_data):
         m = build_model(3, 2, 0.5, 0.5, seed=0, hidden=8)
         with pytest.raises(ValueError):
             train(m, toy_data, TrainConfig(iterations=1))
 
-    def test_val_data_dim_mismatch_rejected_before_the_first_step(self, toy_data):
-        from claimgan.data import LabeledDataset
-
+    def test_val_data_dim_mismatch_rejected_before_the_first_step(
+        self, trainer, toy_data, optimizer_steps
+    ):
         val_3d = LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2)
-        steps = []
-
-        def step(*args):
-            steps.append(1)
-            return proposed_step(*args)
-
-        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
         cfg = TrainConfig(iterations=4, seed=1, eval_every=2)
         with pytest.raises(ValueError, match="val_data dim 3"):
-            train(m, toy_data, cfg, val_3d, step_fn=step)
-        assert steps == []
+            trainer[0](toy_data, cfg, val_3d)
+        assert optimizer_steps == []
 
-    def test_empty_val_data_leaves_prf_empty(self, toy_data):
-        from claimgan.data import LabeledDataset
-
+    def test_empty_val_data_leaves_prf_empty(self, trainer, toy_data):
+        fit, eval_columns = trainer
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
-        _, records = train(m, toy_data, TrainConfig(iterations=2, seed=1, eval_every=2), empty)
-        assert records[1].f1 is None and records[1].cos is not None
+        *_, records = fit(toy_data, TrainConfig(iterations=2, seed=1, eval_every=2), empty)
+        assert records[1].f1 is None and records[1].loss_label is not None
+        assert all(getattr(records[1], c) is not None for c in eval_columns)
+
+    @pytest.mark.parametrize(
+        "fit, settings, failed",
+        [(_fit_model, {"optimizer": "sgd", "learning_rate": 1e5}, 3),
+         (_fit_baseline, {"learning_rate": 1e300}, 2)],
+        ids=["train", "baseline_train"],
+    )
+    def test_a_failed_iteration_keeps_the_records_before_it(self, fit, settings, failed):
+        data = gaussian_mixture(50, 2, ((-2.0, 0.0), (2.0, 0.0)), 0.5, seed=0)
+        cfg = TrainConfig(iterations=20, seed=0, **settings)
+        with pytest.raises(trigan.TrainingError) as caught:
+            fit(data, cfg)
+        assert str(caught.value) == f"iteration {failed}: non-finite gradients; step rejected"
+        *_, completed = fit(data, replace(cfg, iterations=failed - 1))
+        assert caught.value.records == completed
 
     def test_eval_noise_is_freed_before_pairing(self, toy_data, monkeypatch):
         noise, alive_at_report = [], []

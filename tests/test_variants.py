@@ -181,27 +181,3 @@ class TestBaseline:
         _, a = baseline_train(toy_data, cfg, hidden=8)
         _, b = baseline_train(toy_data, cfg, hidden=8)
         assert [r.loss_label for r in a] == [r.loss_label for r in b]
-
-    def test_val_data_dim_mismatch_rejected_before_the_first_step(self, toy_data):
-        from claimgan.data import LabeledDataset
-
-        # no eval falls in the 3 iterations, so only an up-front check sees it
-        val_3d = LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2)
-        with pytest.raises(ValueError, match="val_data dim 3"):
-            baseline_train(toy_data, TrainConfig(iterations=3, eval_every=5), val_3d, hidden=8)
-
-    def test_empty_val_data_leaves_prf_empty(self, toy_data):
-        from claimgan.data import LabeledDataset
-
-        empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-        _, records = baseline_train(
-            toy_data, TrainConfig(iterations=2, eval_every=2), empty, hidden=8
-        )
-        assert records[1].f1 is None and records[1].loss_label is not None
-
-    def test_rejects_single_class(self):
-        from claimgan.data import LabeledDataset
-
-        ds = LabeledDataset(np.zeros((5, 8)), np.ones(5, dtype=np.int64))
-        with pytest.raises(ValueError):
-            baseline_train(ds, TrainConfig(iterations=1))
