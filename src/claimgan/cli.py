@@ -145,7 +145,10 @@ def cmd_repeat(args) -> int:
     per_run = []
     for i in range(cfg.repeats):
         seed = cfg.seed + i
-        nets, final = _run_one(args, cfg, splits, seed, i, f"telemetry_run{i}.csv")
+        try:
+            nets, final = _run_one(args, cfg, splits, seed, i, f"telemetry_run{i}.csv")
+        except ValueError as e:
+            raise ValueError(f"run {i} (seed {seed}): {e}") from e
         checkpoint_save(nets, _out_path(args, f"checkpoint_run{i}.json"))
         per_run.append(final)
         print(

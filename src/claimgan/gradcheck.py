@@ -56,22 +56,14 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
             model.pi_p, model.pi_n,
         )
 
-    def g_p_scalar():
-        fake = out(model.g_p, z)
-        return trigan.g_p_loss(out(model.d_p, fake), out(model.d_y, fake), model.pi_p)
+    def generator_scalar(gen, disc, prior):
+        fake = out(gen, z)
+        return trigan.generator_loss(out(disc, fake), out(model.d_y, fake), prior)
 
-    def g_n_scalar():
-        fake = out(model.g_n, z)
-        return trigan.g_n_loss(out(model.d_n, fake), out(model.d_y, fake), model.pi_n)
-
-    def g_y_scalar(mode):
-        fp, fn_ = out(model.g_p, z), out(model.g_n, z)
-        kwargs = {}
-        if mode == "eq4":
-            kwargs = {"g_y_on_gp": out(model.g_y, fp), "g_y_on_gn": out(model.g_y, fn_)}
-        return trigan.g_y_loss(
-            out(model.d_y, fp), out(model.d_y, fn_), model.pi_p, model.pi_n, mode, **kwargs
-        )
+    def g_y_scalar(loss, *judges):
+        """loss on the judges' outputs on Gp(z), Gn(z), judge by judge."""
+        fakes = out(model.g_p, z), out(model.g_n, z)
+        return loss(*[out(net, f) for net in judges for f in fakes], model.pi_p, model.pi_n)
 
     p_bracket = lambda: trigan.bracket_value(model.d_p, model.g_p, x_p, z)
     n_bracket = lambda: trigan.bracket_value(model.d_n, model.g_n, x_n, z)
@@ -80,10 +72,14 @@ def _rules(model: TriGanModel, x_p, x_n, x, z):
         ("d_p", "proposed", "d_p", None, lambda: model.pi_p * p_bracket()),
         ("d_n", "proposed", "d_n", None, lambda: model.pi_n * n_bracket()),
         ("d_y", "proposed", "d_y", None, d_y_scalar),
-        ("g_p", "proposed", "g_p", None, g_p_scalar),
-        ("g_n", "proposed", "g_n", None, g_n_scalar),
-        ("g_y[alg1-line14]", "proposed", "g_y", "alg1-line14", lambda: g_y_scalar("alg1-line14")),
-        ("g_y[eq4]", "proposed", "g_y", "eq4", lambda: g_y_scalar("eq4")),
+        ("g_p", "proposed", "g_p", None,
+         lambda: generator_scalar(model.g_p, model.d_p, model.pi_p)),
+        ("g_n", "proposed", "g_n", None,
+         lambda: generator_scalar(model.g_n, model.d_n, model.pi_n)),
+        ("g_y[alg1-line14]", "proposed", "g_y", "alg1-line14",
+         lambda: g_y_scalar(trigan.g_y_loss_alg1_line14, model.d_y)),
+        ("g_y[eq4]", "proposed", "g_y", "eq4",
+         lambda: g_y_scalar(trigan.g_y_loss_eq4, model.d_y, model.g_y)),
         ("inverted:d_n", "inverted", "d_n", None,
          lambda: trigan.bracket_value(model.d_n, model.g_n, x_p, z)),
         ("inverted:g_p", "inverted", "g_p", None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import atomic_open, read_lines
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
@@ -400,8 +400,8 @@ def checkpoint_save(nets: dict[str, NeuralNet], path) -> None:
 
 
 def checkpoint_load(path) -> dict[str, NeuralNet]:
-    """The nets checkpoint_save wrote to `path`. A CheckpointError's message
-    starts with the path, as load_config's and load_claims' errors do."""
+    """The nets checkpoint_save wrote to `path`. An error's message starts
+    with the path, as load_config's and load_claims' errors do."""
     try:
         return _read_checkpoint(path)
     except CheckpointError as e:
@@ -410,9 +410,8 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
 
 def _read_checkpoint(path) -> dict[str, NeuralNet]:
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        doc = json.loads("".join(read_lines(path)))
+    except (json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("malformed checkpoint: missing version")

@@ -87,61 +87,46 @@ def d_y_objective(d_on_real_mixed, d_on_gp, d_on_gn, pi_p: float, pi_n: float) -
     )
 
 
-def g_p_loss(d_p_on_fake, d_y_on_fake, pi_p: float) -> float:
-    """pi_p * mean(-log D_p(Gp(z)) - log D_y(Gp(z))): non-saturating form."""
-    d_p = _probs(d_p_on_fake, "d_p_on_fake")
+def generator_loss(d_on_fake, d_y_on_fake, prior: float) -> float:
+    """prior * mean(-log D(G(z)) - log D_y(G(z))), the non-saturating loss of
+    a sample generator: D_p and pi_p for g_p, D_n and pi_n for g_n."""
+    d = _probs(d_on_fake, "d_on_fake")
     d_y = _probs(d_y_on_fake, "d_y_on_fake")
-    return float(pi_p * _mean(-np.log(d_p) - np.log(d_y)))
+    return float(prior * _mean(-np.log(d) - np.log(d_y)))
 
 
-def g_n_loss(d_n_on_fake, d_y_on_fake, pi_n: float) -> float:
-    """Mirror of g_p_loss with the negative discriminator and prior."""
-    return g_p_loss(d_n_on_fake, d_y_on_fake, pi_n)
+# The label generator's loss in each of G_Y_LOSS_MODES. t_p, t_n are D_y's
+# judgments and u_p, u_n g_y's class probabilities on Gp(z), Gn(z).
 
 
-def g_y_loss(
-    d_y_on_gp,
-    d_y_on_gn,
-    pi_p: float,
-    pi_n: float,
-    mode: str,
-    g_y_on_gp=None,
-    g_y_on_gn=None,
-) -> float:
-    """Label-generator loss, in one of three modes.
-
-    "alg1-line14": -pi_p*mean(log D_y(Gp)) - pi_n*mean(log D_y(Gn)). This
-    expression contains no g_y term, so its gradient w.r.t. g_y vanishes
-    and g_y never trains.
-
-    "eq4": soft-target form with D_y's judgment t as the target and g_y's
-    class probability u as the prediction:
-    -sum_c pi_c * mean(t*log(u) + (1-t)*log(1-t)), minimized by g_y. The
-    second term does not depend on u, so the loss only ever pushes u up
-    and g_y converges to predicting positive everywhere.
-
-    "generator-labels" (extension, Triple-GAN's pseudo-discriminative loss):
-    prior-weighted BCE with each generated sample labelled by its generator,
-    -pi_p*mean(log u_p) - pi_n*mean(log(1 - u_n)), where u_p = g_y(Gp(z))
-    and u_n = g_y(Gn(z)). The d_y outputs are not used and may be None.
-    """
-    if mode not in G_Y_LOSS_MODES:
-        raise ValueError(f"unknown g_y loss mode {mode!r}")
+def g_y_loss_alg1_line14(t_p, t_n, pi_p: float, pi_n: float) -> float:
+    """-pi_p*mean(log t_p) - pi_n*mean(log t_n): no g_y term."""
     check_priors(pi_p, pi_n)
-    if mode != "generator-labels":
-        t_p = _probs(d_y_on_gp, "d_y_on_gp")
-        t_n = _probs(d_y_on_gn, "d_y_on_gn")
-    if mode == "alg1-line14":
-        return float(-pi_p * _mean(np.log(t_p)) - pi_n * _mean(np.log(t_n)))
-    if g_y_on_gp is None or g_y_on_gn is None:
-        raise ValueError(f"{mode} mode requires g_y outputs on both generated batches")
-    u_p = _probs(g_y_on_gp, "g_y_on_gp")
-    u_n = _probs(g_y_on_gn, "g_y_on_gn")
-    if mode == "generator-labels":
-        return float(-pi_p * _mean(np.log(u_p)) - pi_n * _mean(np.log1p(-u_n)))
+    t_p = _probs(t_p, "t_p")
+    t_n = _probs(t_n, "t_n")
+    return float(-pi_p * _mean(np.log(t_p)) - pi_n * _mean(np.log(t_n)))
+
+
+def g_y_loss_eq4(t_p, t_n, u_p, u_n, pi_p: float, pi_n: float) -> float:
+    """-sum_c pi_c * mean(t_c*log(u_c) + (1-t_c)*log(1-t_c)): D_y's judgment
+    is the soft target of g_y's prediction."""
+    check_priors(pi_p, pi_n)
+    t_p = _probs(t_p, "t_p")
+    t_n = _probs(t_n, "t_n")
+    u_p = _probs(u_p, "u_p")
+    u_n = _probs(u_n, "u_n")
     ll = pi_p * _mean(t_p * np.log(u_p) + (1.0 - t_p) * np.log1p(-t_p))
     ll += pi_n * _mean(t_n * np.log(u_n) + (1.0 - t_n) * np.log1p(-t_n))
     return float(-ll)
+
+
+def g_y_loss_generator_labels(u_p, u_n, pi_p: float, pi_n: float) -> float:
+    """-pi_p*mean(log u_p) - pi_n*mean(log(1 - u_n)): BCE with each sample
+    labelled by the generator that made it."""
+    check_priors(pi_p, pi_n)
+    u_p = _probs(u_p, "u_p")
+    u_n = _probs(u_n, "u_n")
+    return float(-pi_p * _mean(np.log(u_p)) - pi_n * _mean(np.log1p(-u_n)))
 
 
 @dataclass(eq=False)
@@ -339,19 +324,19 @@ def d_y_step_grads(model: TriGanModel, x, z) -> tuple[ParamGrads, float]:
 
 
 def g_p_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:
-    # gradients of g_p_loss; no column takes its value
+    # gradients of generator_loss with d_p and pi_p; no column takes its value
     rule = log_grad(-model.pi_p)
     return generator_grads(model.g_p, z, [(model.d_p, rule), (model.d_y, rule)]), None
 
 
 def g_n_step_grads(model: TriGanModel, z) -> tuple[ParamGrads, None]:
-    # gradients of g_n_loss; no column takes its value
+    # gradients of generator_loss with d_n and pi_n; no column takes its value
     rule = log_grad(-model.pi_n)
     return generator_grads(model.g_n, z, [(model.d_n, rule), (model.d_y, rule)]), None
 
 
 def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None, float | None]:
-    # gradients of g_y_loss; no column takes its value
+    # gradients of g_y_loss_<mode>; no column takes its value
     pi_p, pi_n = model.pi_p, model.pi_n
     fake_p, _ = forward(model.g_p, z)
     fake_n, _ = forward(model.g_n, z)
@@ -365,9 +350,11 @@ def g_y_step_grads(model: TriGanModel, z, mode: str) -> tuple[ParamGrads | None,
         # the printed rule contains no g_y term: the gradient is known zero.
         # The value is computed only because FORWARDS_PER_STEP in
         # perfbench/run.py counts the four forwards that feed it.
-        return None, g_y_loss(t_p, t_n, pi_p, pi_n, mode)
-    terms = [(fake_p, log_grad(-pi_p * t_p)), (fake_n, log_grad(-pi_n * t_n))]
-    return net_grads(model.g_y, terms)[0], None
+        return None, g_y_loss_alg1_line14(t_p, t_n, pi_p, pi_n)
+    if mode == "eq4":
+        terms = [(fake_p, log_grad(-pi_p * t_p)), (fake_n, log_grad(-pi_n * t_n))]
+        return net_grads(model.g_y, terms)[0], None
+    raise ValueError(f"unknown g_y loss mode {mode!r}")
 
 
 # --- one training iteration, as a table of updates ---------------------------
@@ -518,9 +505,13 @@ def train(
 
 
 def predict(net: NeuralNet, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Class scores of a one-output net and hard labels: 1 iff score >= 0.5."""
-    scores, _ = forward(net, np.asarray(xs, dtype=np.float64), keep_cache=False)
+    """Class scores of a one-output net and hard labels: 1 iff score >= 0.5.
+    A score that is not finite raises ValueError, not numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, _ = forward(net, np.asarray(xs, dtype=np.float64), keep_cache=False)
     scores = scores[:, 0]
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite class scores")
     return scores, (scores >= 0.5).astype(np.int64)
 
 

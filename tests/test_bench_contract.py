@@ -125,6 +125,9 @@ WORK_PER_STEP = {
 
 def test_every_variant_declares_its_work_per_step():
     assert {variant for variant, _ in WORK_PER_STEP} == set(STEP_TABLES)
+    # and the proposed table in every g_y mode, so a new mode needs its count
+    modes = {mode for variant, mode in WORK_PER_STEP if variant == "proposed"}
+    assert modes == set(trigan.G_Y_LOSS_MODES)
 
 
 def test_proposed_forwards_per_step_match_the_benchmark(monkeypatch):

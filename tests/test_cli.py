@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,25 @@ class TestTrainEval:
                               f"error: {ckpt}: Gy takes 3 features, but {data} has 2")
         assert not out.exists()
 
+    def test_eval_non_finite_scores_exit_2(self, tmp_path, capsys):
+        # finite weights whose products overflow, so every score is NaN
+        gy = net_init([2, 8, 8, 1], ["relu", "relu", "sigmoid"], 0)
+        gy.flat[:] = np.random.default_rng(0).standard_normal(gy.flat.size) * 1e305
+        ckpt = tmp_path / "ckpt.json"
+        checkpoint_save({"Gy": gy}, ckpt)
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen-data", "--config", write_config(tmp_path, toy_config()),
+                     "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "dataset.csv"),
+                "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in caught] == []  # no numpy warning before it
+        assert_one_error_line(capsys.readouterr().err, "error: non-finite class scores")
+        assert not out.exists()
+
 
 class TestBadFileNamesItself:
     """An input file that cannot be read names itself, and the line where it
@@ -455,6 +475,18 @@ class TestBadFileNamesItself:
         out = tmp_path / "out"
         assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 2
         assert_one_error_line(capsys.readouterr().err, f"error: {corpus}: line 3: not UTF-8 text")
+        assert not out.exists()
+
+    def test_checkpoint_not_utf8_exit_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_bytes(json.dumps({"version": 1, "nets": {"Gy": _gy()}}).encode()
+                         .replace(b"Gy", b"G\xff"))
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data.csv"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"error: {ckpt}: line 1: not UTF-8 text (invalid start byte)")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -490,13 +522,18 @@ class TestFailedIteration:
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, toy_config(**settings)), "--out"]
         assert main([*argv, str(out)]) == 2
+        run = "" if command == "train" else "run 0 (seed 0): "
         assert_one_error_line(capsys.readouterr().err,
-                              f"error: iteration {failed}: non-finite gradients")
+                              f"error: {run}iteration {failed}: non-finite gradients")
         telemetry = "telemetry.csv" if command == "train" else "telemetry_run0.csv"
         assert [p.name for p in out.iterdir()] == [telemetry]
         completed = toy_config(**settings, iterations=failed - 1)
         argv = ["train", "--config", write_config(tmp_path, completed, "completed.json")]
-        assert main([*argv, "--out", str(tmp_path / "completed")]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "completed")]) == 0
+        # its weights are huge, but its test-set scores raise no numpy warning
+        assert [str(w.message) for w in caught] == [] and capsys.readouterr().err == ""
         rows = (out / telemetry).read_bytes()
         assert rows == (tmp_path / "completed" / "telemetry.csv").read_bytes()
         assert len(load_records(out / telemetry)) == failed - 1

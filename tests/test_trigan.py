@@ -31,11 +31,12 @@ from claimgan.trigan import (
     classify_batch,
     d_y_objective,
     d_p_step_grads,
-    g_n_loss,
-    g_p_loss,
-    g_y_loss,
+    g_y_loss_alg1_line14,
+    g_y_loss_eq4,
+    g_y_loss_generator_labels,
     g_y_step_grads,
     gan_objective,
+    generator_loss,
     predict,
     run_steps,
     train,
@@ -88,50 +89,39 @@ class TestObjectives:
 
 
 class TestGeneratorLosses:
-    def test_g_p_loss_near_zero_when_fooling(self):
+    def test_generator_loss_near_zero_when_fooling(self):
         eps = 1e-7
-        assert g_p_loss([1 - eps], [1 - eps], 0.7) == pytest.approx(0.0, abs=1e-5)
+        assert generator_loss([1 - eps], [1 - eps], 0.7) == pytest.approx(0.0, abs=1e-5)
 
-    def test_g_p_loss_midpoint(self):
-        assert g_p_loss([0.5], [0.5], 1.0) == pytest.approx(-2 * LN_HALF, abs=1e-12)
+    def test_generator_loss_midpoint(self):
+        assert generator_loss([0.5], [0.5], 1.0) == pytest.approx(-2 * LN_HALF, abs=1e-12)
 
-    def test_g_p_loss_frozen_value(self):
+    def test_generator_loss_frozen_value(self):
         # 0.7289 * (-ln 0.8 - ln 0.6)
-        assert g_p_loss([0.8], [0.6], 0.7289) == pytest.approx(
+        assert generator_loss([0.8], [0.6], 0.7289) == pytest.approx(
             0.5349901317, abs=1e-9
         )
 
-    def test_g_n_mirrors_g_p(self):
-        assert g_n_loss([0.8], [0.6], 0.7289) == g_p_loss([0.8], [0.6], 0.7289)
-
     def test_g_y_loss_alg1_midpoint(self):
-        v = g_y_loss([0.5], [0.5], 0.5, 0.5, "alg1-line14")
+        v = g_y_loss_alg1_line14([0.5], [0.5], 0.5, 0.5)
         assert v == pytest.approx(-LN_HALF, abs=1e-12)
 
     def test_g_y_loss_alg1_frozen_value(self):
         # -0.7289 ln 0.8 - 0.2711 ln 0.6
-        v = g_y_loss([0.8], [0.6], 0.7289, 0.2711, "alg1-line14")
+        v = g_y_loss_alg1_line14([0.8], [0.6], 0.7289, 0.2711)
         assert v == pytest.approx(0.3011341612, abs=1e-9)
-
-    def test_g_y_loss_eq4_requires_outputs(self):
-        with pytest.raises(ValueError):
-            g_y_loss([0.5], [0.5], 0.5, 0.5, "eq4")
 
     def test_g_y_loss_eq4_soft_target_arithmetic(self):
         # -pi_p*(t ln u + (1-t) ln(1-t)) - pi_n*(same), computed by hand
         t, u = 0.8, 0.6
         per_class = t * math.log(u) + (1 - t) * math.log(1 - t)
-        v = g_y_loss([t], [t], 0.5, 0.5, "eq4", [u], [u])
+        v = g_y_loss_eq4([t], [t], [u], [u], 0.5, 0.5)
         assert v == pytest.approx(-per_class, abs=1e-12)
 
     def test_g_y_loss_generator_labels_arithmetic(self):
         # -0.7 ln 0.8 - 0.3 ln(1 - 0.4), computed by hand
-        v = g_y_loss(None, None, 0.7, 0.3, "generator-labels", [0.8], [0.4])
+        v = g_y_loss_generator_labels([0.8], [0.4], 0.7, 0.3)
         assert v == pytest.approx(0.30944817304974404, abs=1e-12)
-
-    def test_g_y_loss_unknown_mode(self):
-        with pytest.raises(ValueError):
-            g_y_loss([0.5], [0.5], 0.5, 0.5, "eq5")
 
 
 # priors whose products and quotients are not exact in binary
@@ -157,29 +147,29 @@ LOSSES = {
         + PI_P * np.log1p(-p[1]).mean()
         + PI_N * np.log1p(-p[2]).mean(),
     ),
-    "g_p_loss": (
+    "generator_loss[pi_p]": (  # g_p's
         2,
-        lambda p: g_p_loss(*p, PI_P),
+        lambda p: generator_loss(*p, PI_P),
         lambda p: PI_P * (-np.log(p[0]) - np.log(p[1])).mean(),
     ),
-    "g_n_loss": (
+    "generator_loss[pi_n]": (  # g_n's
         2,
-        lambda p: g_n_loss(*p, PI_N),
+        lambda p: generator_loss(*p, PI_N),
         lambda p: PI_N * (-np.log(p[0]) - np.log(p[1])).mean(),
     ),
     "g_y_loss[alg1-line14]": (
         2,
-        lambda p: g_y_loss(*p, PI_P, PI_N, "alg1-line14"),
+        lambda p: g_y_loss_alg1_line14(*p, PI_P, PI_N),
         lambda p: -PI_P * np.log(p[0]).mean() - PI_N * np.log(p[1]).mean(),
     ),
     "g_y_loss[eq4]": (
         4,
-        lambda p: g_y_loss(p[0], p[1], PI_P, PI_N, "eq4", p[2], p[3]),
+        lambda p: g_y_loss_eq4(*p, PI_P, PI_N),
         lambda p: -(PI_P * _soft_target(p[0], p[2]) + PI_N * _soft_target(p[1], p[3])),
     ),
     "g_y_loss[generator-labels]": (
         2,
-        lambda p: g_y_loss(None, None, PI_P, PI_N, "generator-labels", *p),
+        lambda p: g_y_loss_generator_labels(*p, PI_P, PI_N),
         lambda p: -PI_P * np.log(p[0]).mean() - PI_N * np.log1p(-p[1]).mean(),
     ),
 }
@@ -457,6 +447,16 @@ class TestTrain:
         *_, completed = fit(data, replace(cfg, iterations=failed - 1))
         assert caught.value.records == completed
 
+    def test_non_finite_eval_scores_stop_training(self, toy_data):
+        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
+        # overflowing but finite; g_y does not train under alg1-line14
+        m.g_y.flat[:] = np.random.default_rng(0).standard_normal(m.g_y.flat.size) * 1e305
+        cfg = TrainConfig(iterations=4, eval_every=2)
+        with pytest.raises(trigan.TrainingError) as caught:
+            train(m, toy_data, cfg, val_data=toy_data)
+        assert str(caught.value) == "iteration 2: non-finite class scores"
+        assert len(caught.value.records) == 1
+
     def test_eval_noise_is_freed_before_pairing(self, toy_data, monkeypatch):
         noise, alive_at_report = [], []
 
@@ -510,13 +510,20 @@ class TestGradientRules:
     @pytest.mark.parametrize("mode", ["eq4", "generator-labels"])
     def test_trained_g_y_modes_compute_no_loss(self, mode, monkeypatch):
         def no_loss(*args, **kwargs):
-            raise AssertionError("g_y_loss computed for no column")
+            raise AssertionError("a g_y loss computed for no column")
 
-        monkeypatch.setattr(trigan, "g_y_loss", no_loss)
+        for name in ("g_y_loss_alg1_line14", "g_y_loss_eq4", "g_y_loss_generator_labels"):
+            monkeypatch.setattr(trigan, name, no_loss)
         m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)
         z = np.random.default_rng(0).standard_normal((4, 2))
         grads, loss = g_y_step_grads(m, z, mode)
         assert grads is not None and loss is None
+
+    def test_unknown_g_y_mode_rejected(self):
+        m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)
+        z = np.random.default_rng(0).standard_normal((4, 2))
+        with pytest.raises(ValueError, match="^unknown g_y loss mode 'eq5'$"):
+            g_y_step_grads(m, z, "eq5")
 
     def test_eq4_g_y_gradient_is_nonzero(self):
         m = build_model(2, 2, 0.5, 0.5, seed=5, hidden=8)
@@ -531,7 +538,7 @@ class TestGradientRules:
             def scalar():
                 u_p = forward(model.g_y, forward(model.g_p, z)[0])[0]
                 u_n = forward(model.g_y, forward(model.g_n, z)[0])[0]
-                return g_y_loss(None, None, model.pi_p, model.pi_n, "generator-labels", u_p, u_n)
+                return g_y_loss_generator_labels(u_p, u_n, model.pi_p, model.pi_n)
 
             # the row training runs, as gradcheck runs the other g_y modes
             cfg = TrainConfig(iterations=0, g_y_loss_mode="generator-labels")
