@@ -84,7 +84,10 @@ def _run_one(args, cfg: RunConfig, splits, seed: int, run_id: int, telemetry_nam
         metrics.emit(e.records, _out_path(args, telemetry_name))
         raise
     metrics.emit(telemetry, _out_path(args, telemetry_name))
-    _, preds = trigan.predict(nets["Gy"], test_ds.features)
+    try:
+        _, preds = trigan.predict(nets["Gy"], test_ds.features)
+    except ValueError as e:
+        raise ValueError(f"test split: {e}") from e
     p, r, f1, _ = metrics.precision_recall_f1(preds, test_ds.labels)
     return nets, {"precision": p, "recall": r, "f1": f1}
 
@@ -130,7 +133,10 @@ def cmd_eval(args) -> int:
             f"{args.checkpoint}: Gy takes {nets['Gy'].input_dim} features, "
             f"but {args.data} has {dataset.dim}"
         )
-    _, preds = trigan.predict(nets["Gy"], dataset.features)
+    try:
+        _, preds = trigan.predict(nets["Gy"], dataset.features)
+    except ValueError as e:
+        raise ValueError(f"{args.checkpoint}: Gy gives {e} on {args.data}") from e
     p, r, f1, degenerate = metrics.precision_recall_f1(preds, dataset.labels)
     rec = metrics.MetricsRecord(run=0, iter=0, precision=p, recall=r, f1=f1)
     metrics.emit([rec], _out_path(args, "metrics.csv"))

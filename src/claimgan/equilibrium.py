@@ -9,7 +9,7 @@ verified by direct arithmetic and simplex-grid enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -59,17 +59,9 @@ def optimal_t_ternary(a: float, b: float, c: float) -> float:
     return a / (a + (b + c))
 
 
-@dataclass(eq=False)
-class OptimalDiscriminators:
-    d_p: np.ndarray
-    d_n: np.ndarray
-    # points where both masses vanish: D* is 0/0 there, set to 0.5 by convention
-    undefined_p: np.ndarray = field(repr=False, default=None)
-    undefined_n: np.ndarray = field(repr=False, default=None)
-
-
-def optimal_discriminators(p_p, p_gp, p_n, p_gn) -> OptimalDiscriminators:
-    """Pointwise optimal discriminators p_real/(p_real + p_fake), clamped."""
+def optimal_discriminators(p_p, p_gp, p_n, p_gn) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise optimal discriminators (D*_p, D*_n), each p_real/(p_real +
+    p_fake), clamped. Where both masses vanish D* is 0/0, set to 0.5."""
     p_p, p_gp, p_n, p_gn = map(as_dist, (p_p, p_gp, p_n, p_gn))
     _same_support(p_p, p_gp, p_n, p_gn)
 
@@ -77,11 +69,9 @@ def optimal_discriminators(p_p, p_gp, p_n, p_gn) -> OptimalDiscriminators:
         denom = real + fake
         undef = denom == 0.0
         d = np.where(undef, 0.5, real / np.where(undef, 1.0, denom))
-        return np.clip(d, PROB_EPS, 1.0 - PROB_EPS), undef
+        return np.clip(d, PROB_EPS, 1.0 - PROB_EPS)
 
-    d_p, u_p = ratio(p_p, p_gp)
-    d_n, u_n = ratio(p_n, p_gn)
-    return OptimalDiscriminators(d_p, d_n, u_p, u_n)
+    return ratio(p_p, p_gp), ratio(p_n, p_gn)
 
 
 def value_fn(p_real, p_fake, d: np.ndarray) -> float:

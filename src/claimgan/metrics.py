@@ -295,17 +295,3 @@ def emit(records: list[MetricsRecord], path) -> None:
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow([_to_cell(v) for v in _csv_values(rec)])
-
-
-def load_records(path) -> list[MetricsRecord]:
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != list(CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            kwargs = {"run": int(row["run"]), "iter": int(row["iter"])}
-            for c in CSV_COLUMNS[2:]:
-                kwargs[c] = float(row[c]) if row[c] != "" else None
-            records.append(MetricsRecord(**kwargs))
-    return records

@@ -22,8 +22,9 @@ from claimgan.config import (
 from claimgan.data import embed_pairs, load_dataset
 from claimgan.equilibrium import MAX_GRID_POINTS
 from claimgan.gradcheck import check_all_gradients
-from claimgan.metrics import load_records
 from claimgan.nets import MAX_PARAMETERS, checkpoint_load, checkpoint_save, net_init
+
+from telemetry_csv import load_records
 
 
 def toy_config(**overrides):
@@ -450,8 +451,27 @@ class TestTrainEval:
             warnings.simplefilter("always")
             assert main(argv) == 2
         assert [str(w.message) for w in caught] == []  # no numpy warning before it
-        assert_one_error_line(capsys.readouterr().err, "error: non-finite class scores")
+        assert_one_error_line(
+            capsys.readouterr().err,
+            f"error: {ckpt}: Gy gives non-finite class scores on {data_dir / 'dataset.csv'}",
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "repeat"])
+    def test_test_split_non_finite_scores_exit_2(self, command, tmp_path, capsys, monkeypatch):
+        def non_finite(net, xs):
+            raise ValueError("non-finite class scores")
+
+        monkeypatch.setattr(trigan, "predict", non_finite)
+        # eval_every 0: training scores no validation split, so only the test split fails
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, toy_config(eval_every=0)), "--out"]
+        assert main([*argv, str(out)]) == 2
+        run = "" if command == "train" else "run 0 (seed 0): "
+        assert_one_error_line(capsys.readouterr().err,
+                              f"error: {run}test split: non-finite class scores")
+        telemetry = "telemetry.csv" if command == "train" else "telemetry_run0.csv"
+        assert [p.name for p in out.iterdir()] == [telemetry]
 
 
 class TestBadFileNamesItself:

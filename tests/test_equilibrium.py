@@ -66,25 +66,25 @@ class TestOptimalT:
 
 class TestOptimalDiscriminators:
     def test_equal_masses_give_half(self):
-        od = optimal_discriminators([0.5, 0.5], [0.5, 0.5], [0.3, 0.7], [0.3, 0.7])
-        assert np.allclose(od.d_p, 0.5) and np.allclose(od.d_n, 0.5)
+        d_p, d_n = optimal_discriminators([0.5, 0.5], [0.5, 0.5], [0.3, 0.7], [0.3, 0.7])
+        assert np.allclose(d_p, 0.5) and np.allclose(d_n, 0.5)
 
     def test_frozen_pointwise_values(self):
-        od = optimal_discriminators(
+        d_p, _ = optimal_discriminators(
             [0.6, 0.4], [0.2, 0.8], [0.5, 0.5], [0.5, 0.5]
         )
-        assert od.d_p[0] == pytest.approx(0.75, abs=1e-12)
-        assert od.d_p[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert d_p[0] == pytest.approx(0.75, abs=1e-12)
+        assert d_p[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_disjoint_supports_clamped(self):
-        od = optimal_discriminators([1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
-        assert od.d_p[0] < 1.0 and od.d_p[1] > 0.0
+        d_p, _ = optimal_discriminators([1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
+        assert d_p[0] < 1.0 and d_p[1] > 0.0
 
     def test_zero_mass_points_flagged(self):
-        od = optimal_discriminators(
+        d_p, _ = optimal_discriminators(
             [1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]
         )
-        assert od.d_p[1] == 0.5 and od.undefined_p[1]
+        assert d_p[1] == 0.5
 
     def test_support_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -99,8 +99,8 @@ class TestValueFn:
 
     def test_equal_dists_at_optimum(self):
         p = [0.3, 0.7]
-        od = optimal_discriminators(p, p, p, p)
-        assert value_fn(p, p, od.d_p) == pytest.approx(-LN4, abs=1e-12)
+        d_p, _ = optimal_discriminators(p, p, p, p)
+        assert value_fn(p, p, d_p) == pytest.approx(-LN4, abs=1e-12)
 
     def test_frozen_value(self):
         # 0.6 ln .75 + 0.4 ln(1/3) + 0.2 ln .25 + 0.8 ln(2/3)

@@ -9,10 +9,11 @@ from claimgan.metrics import (
     MetricsRecord,
     aggregate,
     emit,
-    load_records,
     precision_recall_f1,
     similarity_report,
 )
+
+from telemetry_csv import load_records
 
 
 class TestPrecisionRecallF1:
