@@ -161,14 +161,14 @@ def cmd_repeat(args) -> int:
             f"run {i} (seed {seed}): precision={final['precision']:.6f} "
             f"recall={final['recall']:.6f} f1={final['f1']:.6f}"
         )
-    agg = metrics.aggregate(per_run)
+    mean, std = metrics.aggregate(per_run)
     summary_path = _out_path(args, "summary.csv")
     with atomic_open(summary_path) as f:
         f.write("metric,mean,std,runs\n")
         for k in ("precision", "recall", "f1"):
-            f.write(f"{k},{agg.mean[k]!r},{agg.std[k]!r},{agg.n_runs}\n")
+            f.write(f"{k},{mean[k]!r},{std[k]!r},{len(per_run)}\n")
     for k in ("precision", "recall", "f1"):
-        print(f"{k}: {agg.mean[k]:.4f} ± {agg.std[k]:.4f}")
+        print(f"{k}: {mean[k]:.4f} ± {std[k]:.4f}")
     print(f"wrote {summary_path}")
     return 0
 

@@ -148,6 +148,29 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
     return np.diff(cuts, prepend=0, append=n, axis=1) / n
 
 
+def class_values(p_p, p_n, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's two-player value with its optimal discriminator, for every
+    grid point as that class's generator: (V(p_p, g, D*_p), V(p_n, g, D*_n))
+    over the rows g of `grid`. Each equals 2*JSD(real, g) - 2*ln(2)."""
+    pos, neg = np.empty(len(grid)), np.empty(len(grid))
+    for i, g in enumerate(grid):
+        d_p, d_n = optimal_discriminators(p_p, g, p_n, g)
+        pos[i], neg[i] = value_fn(p_p, g, d_p), value_fn(p_n, g, d_n)
+    return pos, neg
+
+
+def _ties(values: np.ndarray, grid: np.ndarray, p_p, p_n):
+    """(minimum, tied p_gp rows, tied p_gn rows, index of the tie nearest
+    (p_p, p_n) in L1) of a grid x grid array of game values. Every pair within
+    1e-9 of the minimum is a tie; of equally near ties the first in
+    row-major order is taken."""
+    best = float(values.min())
+    tied_gp, tied_gn = np.divmod(np.flatnonzero(values <= best + 1e-9), len(grid))
+    gps, gns = grid[tied_gp], grid[tied_gn]
+    nearest = np.argmin(np.abs(gps - p_p).sum(axis=1) + np.abs(gns - p_n).sum(axis=1))
+    return best, gps, gns, nearest
+
+
 @dataclass(eq=False)
 class EquilibriumReport:
     minimizer_gp: np.ndarray
@@ -159,10 +182,23 @@ class EquilibriumReport:
     n_tied: int
     grid_contains_target: bool
     value_slack: float
+    # the whole game: the label game plus each class's two-player value
+    whole_minimizer_gp: np.ndarray
+    whole_minimizer_gn: np.ndarray
+    whole_min_value: float
+    whole_at_target: bool
+    whole_n_tied: int
+    # every tie has the minimizer's generator for each class of nonzero prior,
+    # so with both priors nonzero the minimizer is unique
+    whole_ties_agree: bool
 
     @property
     def gap_to_equilibrium(self) -> float:
         return self.min_value - EQUILIBRIUM_VALUE
+
+    @property
+    def whole_gap(self) -> float:
+        return self.whole_min_value - 2.0 * EQUILIBRIUM_VALUE
 
     @property
     def passed(self) -> bool:
@@ -172,10 +208,14 @@ class EquilibriumReport:
             and self.satisfies_mixture
             and self.grid_contains_target
             and abs(self.gap_to_equilibrium) <= self.value_slack
+            and self.whole_at_target
+            and self.whole_ties_agree
+            and abs(self.whole_gap) <= self.value_slack
         )
 
     def lines(self) -> list[str]:
         ok = lambda b: "ok" if b else "FAIL"
+        unique = lambda n: "no (%d tied)" % n if n > 1 else "yes"
         return [
             f"grid minimizer p_gp = {self.minimizer_gp.tolist()}",
             f"grid minimizer p_gn = {self.minimizer_gn.tolist()}",
@@ -184,8 +224,16 @@ class EquilibriumReport:
             f"p_gp == p_p within grid tolerance: {ok(self.satisfies_gp_eq_pp)}",
             f"p_gn == p_n within grid tolerance: {ok(self.satisfies_gn_eq_pn)}",
             f"mixture matches data distribution: {ok(self.satisfies_mixture)}",
-            f"minimizer unique on grid: {'no (%d tied)' % self.n_tied if self.n_tied > 1 else 'yes'}",
+            f"minimizer unique on grid: {unique(self.n_tied)}",
             f"grid contains equilibrium mixture: {ok(self.grid_contains_target)}",
+            f"whole-game minimizer p_gp = {self.whole_minimizer_gp.tolist()}",
+            f"whole-game minimizer p_gn = {self.whole_minimizer_gn.tolist()}",
+            f"whole-game minimum       = {self.whole_min_value!r}",
+            f"gap to 4*ln(1/2)         = {self.whole_gap!r} (slack {self.value_slack!r})",
+            f"whole-game minimizer at (p_p, p_n) within grid tolerance: "
+            f"{ok(self.whole_at_target)}",
+            f"whole-game minimizer unique on grid: {unique(self.whole_n_tied)}",
+            f"whole-game ties share each weighted generator: {ok(self.whole_ties_agree)}",
             f"overall: {'PASS' if self.passed else 'FAIL'}",
         ]
 
@@ -193,12 +241,20 @@ class EquilibriumReport:
 def verify_equilibrium(
     p_p, p_n, pi_p: float, grid_step: float = 0.05
 ) -> EquilibriumReport:
-    """Enumerate (p_gp, p_gn) on the simplex grid and minimize v_star.
+    """Enumerate (p_gp, p_gn) on the simplex grid and minimize two games.
 
-    Confirms that the minimum sits at p_gp = p_p, p_gn = p_n with the data
-    mixture reproduced, and that the minimum value reaches 2*ln(1/2). Every
-    pair within 1e-9 of the grid minimum is a tie; the reported minimizer is
-    the first tie, in row-major order, nearest the analytic equilibrium in L1.
+    The label game is v_star. It depends on the generators only through the
+    mixture pi_p*p_gp + pi_n*p_gn, so every pair that reproduces the data
+    mixture ties, and its minimizer is the tie nearest the analytic
+    equilibrium in L1. The check confirms that this tie sits at p_gp = p_p,
+    p_gn = p_n with the data mixture reproduced, and that the minimum value
+    reaches 2*ln(1/2).
+
+    The whole game adds pi_p*V(p_p, p_gp, D*_p) + pi_n*V(p_n, p_gn, D*_n)
+    (class_values), each a function of one generator. Its minimizer must be
+    (p_p, p_n) within a grid step and the only tie, except that a class of
+    zero prior leaves its generator free, and its minimum must reach
+    4*ln(1/2).
     """
     p_p, p_n = as_dist(p_p), as_dist(p_n)
     _same_support(p_p, p_n)
@@ -211,13 +267,15 @@ def verify_equilibrium(
         (v_star(p, gp, gn, pi_p, pi_n) for gp in grid for gn in grid),
         dtype=np.float64,
         count=len(grid) ** 2,
-    )
-    best = float(values.min())
-    tied_gp, tied_gn = np.divmod(np.flatnonzero(values <= best + 1e-9), len(grid))
-    gps, gns = grid[tied_gp], grid[tied_gn]
-    nearest = np.argmin(np.abs(gps - p_p).sum(axis=1) + np.abs(gns - p_n).sum(axis=1))
+    ).reshape(len(grid), len(grid))
+    best, gps, gns, nearest = _ties(values, grid, p_p, p_n)
     tol = grid_step + 1e-9
     mixture_err = np.abs(pi_p * gps + pi_n * gns - p).max(axis=1)
+
+    pos, neg = class_values(p_p, p_n, grid)
+    whole = values + pi_p * pos[:, None] + pi_n * neg[None, :]
+    w_best, w_gps, w_gns, w_nearest = _ties(whole, grid, p_p, p_n)
+    w_gp, w_gn = w_gps[w_nearest], w_gns[w_nearest]
     return EquilibriumReport(
         minimizer_gp=gps[nearest],
         minimizer_gn=gns[nearest],
@@ -228,4 +286,12 @@ def verify_equilibrium(
         n_tied=len(gps),
         grid_contains_target=bool((mixture_err <= tol).any()),
         value_slack=grid_step,
+        whole_minimizer_gp=w_gp,
+        whole_minimizer_gn=w_gn,
+        whole_min_value=w_best,
+        whole_at_target=bool(max(np.abs(w_gp - p_p).max(), np.abs(w_gn - p_n).max()) <= tol),
+        whole_n_tied=len(w_gps),
+        whole_ties_agree=bool(
+            (pi_p == 0 or (w_gps == w_gp).all()) and (pi_n == 0 or (w_gns == w_gn).all())
+        ),
     )

@@ -26,7 +26,7 @@ PAIRINGS = ("nearest", "random")
 KD_TREE_MAX_DIM = 10
 # size of each (query rows x data rows) work array of the scan
 SCAN_BLOCK_BYTES = 1 << 20
-# size of each (sampled rows x columns) array of similarity_report: below
+# size of each (generated rows x columns) array of similarity_report: below
 # glibc's mmap threshold, which starts at 128 KiB and only rises (see
 # nets.keep_heap_for_steps), so the blocks come from the heap instead of
 # fresh page-faulted mappings
@@ -196,44 +196,31 @@ def precision_recall_f1(predictions, truth) -> tuple[float, float, float, bool]:
     return precision, recall, f1, degenerate
 
 
-@dataclass
-class AggregateResult:
-    n_runs: int
-    mean: dict[str, float]
-    std: dict[str, float]  # sample std (ddof=1); 0 for single runs
-
-
-def aggregate(per_run_metrics: list[dict[str, float]]) -> AggregateResult:
-    """Mean and sample standard deviation of each metric over repeated runs."""
-    if not per_run_metrics:
-        raise ValueError("no runs to aggregate")
-    keys = list(per_run_metrics[0].keys())
-    for rec in per_run_metrics:
-        if list(rec.keys()) != keys:
-            raise ValueError("inconsistent metric keys across runs")
+def aggregate(per_run_metrics: list[dict[str, float]]) -> tuple[dict[str, float], dict[str, float]]:
+    """(mean, std) of each metric over repeated runs; std is the sample
+    standard deviation (ddof=1), 0 for a single run."""
     n = len(per_run_metrics)
     mean, std = {}, {}
-    for k in keys:
+    for k in per_run_metrics[0]:
         vals = np.array([rec[k] for rec in per_run_metrics], dtype=np.float64)
         mean[k] = float(vals.mean())
         std[k] = 0.0 if n == 1 else float(vals.std(ddof=1))
-    return AggregateResult(n_runs=n, mean=mean, std=std)
+    return mean, std
 
 
 def similarity_report(
     real: np.ndarray,
     generated: np.ndarray,
-    n_cap: int = 20000,
     seed: int = 0,
     pairing: str = "nearest",
 ) -> tuple[float, float, float]:
-    """(cosine mean, Manhattan mean, Euclidean mean) over sampled pairs.
+    """(cosine mean, Manhattan mean, Euclidean mean) over every generated row.
 
-    Up to n_cap generated vectors are sampled without replacement and each
-    is paired with a real sample: its Euclidean nearest neighbour by
-    default, or a seeded random real sample with pairing="random".
+    Each generated row, taken in a seeded order (the order the means sum
+    them in), is paired with a real sample: its Euclidean nearest neighbour
+    by default, or a seeded random real sample with pairing="random".
 
-    The sampled rows are paired and scored in blocks of REPORT_BLOCK_BYTES,
+    The rows are paired and scored in blocks of REPORT_BLOCK_BYTES,
     so no copy of the whole sample is made. Every score is a reduction
     along a row and each row's partner does not depend on the rows queried
     with it, so the result is the same bits as scoring the whole sample at
@@ -248,13 +235,11 @@ def similarity_report(
             f"real and generated samples must be 2-D with the same number of columns, "
             f"got shapes {real.shape} and {generated.shape}"
         )
-    if n_cap < 1:
-        raise ValueError(f"n_cap must be at least 1, got {n_cap}")
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing rule {pairing!r}")
     rng = np.random.default_rng(seed)
-    n = min(n_cap, generated.shape[0])
-    idx = rng.choice(generated.shape[0], size=n, replace=False)
+    n = generated.shape[0]
+    idx = rng.choice(n, size=n, replace=False)
     if pairing == "nearest":
         tree = cKDTree(real)
     else:

@@ -492,11 +492,7 @@ def train(
         gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
         del z_eval  # not held through the pairing
         rec.cos, rec.man, rec.euc = similarity_report(
-            allx[pos_rows],
-            gen_pos,
-            n_cap=cfg.similarity_sample_cap,
-            seed=int(eval_rng.integers(0, 2**32)),
-            pairing=cfg.pairing,
+            allx[pos_rows], gen_pos, seed=int(eval_rng.integers(0, 2**32)), pairing=cfg.pairing
         )
 
     records = run_loop(cfg, run_id, data, val_data, step,

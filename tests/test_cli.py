@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimgan import data, trigan
+from claimgan import cli, data, equilibrium, trigan
 from claimgan.cli import main
 from claimgan.config import (
     _DATA_TYPES,
@@ -713,6 +713,31 @@ class TestRepeat:
             single = (out / "checkpoint.json").read_bytes()
             assert (tmp_path / "rep" / f"checkpoint_run{i}.json").read_bytes() == single
 
+    @pytest.mark.parametrize(
+        "f1s, row",
+        [
+            # mean 0.55 and sample std 0.05*sqrt(2), as numpy rounds them
+            pytest.param([0.5, 0.6], "0.55,0.07071067811865474,2", id="two-runs"),
+            pytest.param([0.5], "0.5,0.0,1", id="one-run"),
+        ],
+    )
+    def test_summary_of_known_run_metrics(self, f1s, row, tmp_path, capsys, monkeypatch):
+        finals = iter({"precision": 1.0, "recall": f1, "f1": f1} for f1 in f1s)
+
+        def known_run(*args):
+            return {"Gy": net_init([2, 1], ["sigmoid"], 0)}, next(finals)
+
+        monkeypatch.setattr(cli, "_run_one", known_run)
+        cfg_path = write_config(tmp_path, toy_config(repeats=len(f1s)))
+        out = tmp_path / "rep"
+        assert main(["repeat", "--config", cfg_path, "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_text().splitlines() == [
+            "metric,mean,std,runs",
+            f"precision,1.0,0.0,{len(f1s)}",
+            f"recall,{row}",
+            f"f1,{row}",
+        ]
+
     def test_runs_differ_by_seed(self, tmp_path):
         cfg_path = write_config(tmp_path, toy_config())
         out = tmp_path / "rep"
@@ -763,7 +788,43 @@ class TestVerifyEquilibrium:
         assert main(["verify-equilibrium"]) == 0
         out = capsys.readouterr().out
         assert "gap to 2*ln(1/2)   = 0.0 (slack 0.05)" in out.splitlines()
+        assert "gap to 4*ln(1/2)         = 0.0 (slack 0.05)" in out.splitlines()
         assert "np.float64" not in out
+
+    TIED_LABEL_GAME = ["-k", "3", "--pp", ".25", ".25", ".5", "--pn", ".5", ".25", ".25",
+                       "--pi-p", "0.6"]
+
+    def test_the_whole_game_has_one_minimizer_where_the_label_game_ties(self, capsys):
+        assert main(["verify-equilibrium", *self.TIED_LABEL_GAME]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in (
+            "minimizer unique on grid: no (18 tied)",
+            "whole-game minimizer p_gp = [0.25, 0.25, 0.5]",
+            "whole-game minimizer p_gn = [0.5, 0.25, 0.25]",
+            "whole-game minimum       = -2.772588722239781",
+            "whole-game minimizer unique on grid: yes",
+        ):
+            assert line in lines
+        assert lines[-1] == "overall: PASS"
+
+    def test_swapped_class_terms_fail(self, capsys, monkeypatch):
+        class_values = equilibrium.class_values
+        monkeypatch.setattr(
+            equilibrium, "class_values", lambda p_p, p_n, grid: class_values(p_n, p_p, grid)
+        )
+        assert main(["verify-equilibrium", *self.TIED_LABEL_GAME]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "whole-game minimum       = -2.7698991109072706" in lines
+        assert "whole-game minimizer at (p_p, p_n) within grid tolerance: FAIL" in lines
+        assert lines[-1] == "overall: FAIL"
+
+    @pytest.mark.parametrize("pi_p", ["0", "1"])
+    def test_a_zero_prior_passes_with_its_generator_free(self, pi_p, capsys):
+        assert main(["verify-equilibrium", "--pi-p", pi_p]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "whole-game minimizer unique on grid: no (21 tied)" in lines
+        assert "whole-game ties share each weighted generator: ok" in lines
+        assert lines[-1] == "overall: PASS"
 
     def test_support_of_five_on_a_coarse_grid_runs(self, capsys):
         assert main(["verify-equilibrium", "-k", "5", "--grid-step", "0.25"]) == 0

@@ -11,6 +11,7 @@ from claimgan.equilibrium import (
     EQUILIBRIUM_VALUE,
     MAX_GRID_POINTS,
     as_dist,
+    class_values,
     jsd,
     optimal_discriminators,
     optimal_t_binary,
@@ -280,7 +281,7 @@ class TestGridTies:
 
 
 class TestReportVerdict:
-    """`passed` is the conjunction of five measured conditions."""
+    """`passed` is the conjunction of eight measured conditions."""
 
     @pytest.fixture
     def report(self):
@@ -289,7 +290,11 @@ class TestReportVerdict:
         return report
 
     @pytest.mark.parametrize(
-        "field", ["satisfies_gp_eq_pp", "satisfies_gn_eq_pn", "satisfies_mixture", "grid_contains_target"]
+        "field",
+        [
+            "satisfies_gp_eq_pp", "satisfies_gn_eq_pn", "satisfies_mixture",
+            "grid_contains_target", "whole_at_target", "whole_ties_agree",
+        ],
     )
     def test_fails_on_any_failed_check(self, report, field):
         assert not dataclasses.replace(report, **{field: False}).passed
@@ -300,6 +305,12 @@ class TestReportVerdict:
         near = dataclasses.replace(report, min_value=EQUILIBRIUM_VALUE + 0.01)
         assert near.passed
         assert not dataclasses.replace(near, value_slack=0.005).passed
+
+    def test_fails_when_the_whole_game_gap_exceeds_the_slack(self, report):
+        whole = 2 * EQUILIBRIUM_VALUE
+        assert not dataclasses.replace(report, whole_min_value=whole + 0.06).passed
+        assert not dataclasses.replace(report, whole_min_value=whole - 0.06).passed
+        assert dataclasses.replace(report, whole_min_value=whole + 0.01).passed
 
     def test_fails_when_the_objective_swaps_the_generators(self, monkeypatch):
         # with the priors' weights on the wrong generators, the minimizers
@@ -314,6 +325,98 @@ class TestReportVerdict:
 
     @pytest.mark.parametrize("n_tied", [1, 2, 18])
     def test_uniqueness_line(self, report, n_tied):
-        line = next(l for l in dataclasses.replace(report, n_tied=n_tied).lines() if "unique" in l)
-        assert line.endswith("yes") == (n_tied == 1)
-        assert line.endswith(f"no ({n_tied} tied)") == (n_tied > 1)
+        for field, prefix in (("n_tied", "minimizer unique"),
+                              ("whole_n_tied", "whole-game minimizer unique")):
+            lines = dataclasses.replace(report, **{field: n_tied}).lines()
+            line = next(l for l in lines if l.startswith(prefix))
+            assert line.endswith("yes") == (n_tied == 1)
+            assert line.endswith(f"no ({n_tied} tied)") == (n_tied > 1)
+
+
+# (p_p, p_n, pi_p, grid step): one-hot at k=2 and k=3, and overlapping
+# masses at k=3, whose label game ties 3 pairs at step 1/8 (18 at 0.05,
+# which tests/test_cli.py runs); k=3 uses step 1/8 to keep the grids small
+WHOLE_GAME_CASES = [
+    pytest.param([1.0, 0.0], [0.0, 1.0], 0.5, 0.05, id="one-hot-2"),
+    pytest.param([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.5, 0.125, id="one-hot-3"),
+    pytest.param([0.25, 0.25, 0.5], [0.5, 0.25, 0.25], 0.6, 0.125, id="overlapping-3"),
+]
+
+
+class TestWholeGame:
+    """The label game plus pi_p*V(p_p, p_gp, D*_p) + pi_n*V(p_n, p_gn, D*_n)."""
+
+    @pytest.mark.parametrize("p_p, p_n, pi_p, step", WHOLE_GAME_CASES)
+    def test_one_minimizer_at_the_target(self, p_p, p_n, pi_p, step):
+        report = verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step)
+        assert report.n_tied > 1  # the label game alone ties
+        assert report.whole_n_tied == 1 and report.whole_ties_agree
+        assert report.whole_minimizer_gp.tolist() == p_p
+        assert report.whole_minimizer_gn.tolist() == p_n
+        assert report.whole_min_value == pytest.approx(4 * math.log(0.5), abs=1e-15)
+        assert report.whole_at_target and report.passed
+
+    def test_class_values_are_twice_jsd_less_2ln2(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p_p, p_n = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+            grid = rng.dirichlet(np.ones(4), size=3)
+            pos, neg = class_values(p_p, p_n, grid)
+            for real, got in ((p_p, pos), (p_n, neg)):
+                want = [2 * jsd(real, g) - 2 * math.log(2) for g in grid]
+                assert got == pytest.approx(want, abs=2e-15)
+
+    @pytest.mark.parametrize("p_p, p_n, pi_p, step", WHOLE_GAME_CASES)
+    def test_fails_when_the_class_terms_swap_the_classes(self, p_p, p_n, pi_p, step, monkeypatch):
+        # the label game cannot tell: its minimizer nearest the target stays put
+        monkeypatch.setattr(
+            equilibrium, "class_values", lambda p_p, p_n, grid: class_values(p_n, p_p, grid)
+        )
+        report = verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step)
+        assert report.satisfies_gp_eq_pp and report.satisfies_gn_eq_pn
+        assert not report.whole_at_target and not report.passed
+
+    @pytest.mark.parametrize("pi_p", [0.0, 1.0])
+    @pytest.mark.parametrize("k, step, n_tied", [(2, 0.05, 21), (3, 0.125, 45)])
+    def test_a_zero_prior_leaves_its_generator_free(self, pi_p, k, step, n_tied):
+        # every grid point ties as the unweighted class's generator
+        p_p, p_n = np.eye(k)[0], np.eye(k)[1]
+        report = verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step)
+        assert report.whole_n_tied == n_tied and report.whole_ties_agree
+        assert report.whole_at_target and report.passed
+
+
+class TestWholeGameTies:
+    """With the class terms zero, the whole game is the label game; v_star is
+    replaced by a crafted sequence of values, one per pair in row-major order
+    of simplex_grid(2, 0.5): [0, 1], [0.5, 0.5], [1, 0]."""
+
+    GRID = simplex_grid(2, 0.5)
+
+    def verify_with_tied_pairs(self, monkeypatch, tied, pi_p):
+        values = [0.5 if i in tied else 2.0 for i in range(len(self.GRID) ** 2)]
+        calls = iter(values)
+        monkeypatch.setattr(equilibrium, "v_star", lambda *args: next(calls))
+        zeros = np.zeros(len(self.GRID))
+        monkeypatch.setattr(equilibrium, "class_values", lambda *args: (zeros, zeros))
+        return verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=pi_p, grid_step=0.5)
+
+    @pytest.mark.parametrize(
+        "tied, pi_p, agree",
+        [
+            # pairs 0 ([0,1],[0,1]) and 6 ([1,0],[0,1]) share p_gn, not p_gp
+            pytest.param({0, 6}, 0.5, False, id="pairs-0-6-pi_p-0.5"),
+            pytest.param({0, 6}, 0.0, True, id="pairs-0-6-pi_p-0"),
+            pytest.param({0, 6}, 1.0, False, id="pairs-0-6-pi_p-1"),
+            # pairs 6 ([1,0],[0,1]) and 7 ([1,0],[.5,.5]) share p_gp, not p_gn
+            pytest.param({6, 7}, 1.0, True, id="pairs-6-7-pi_p-1"),
+            pytest.param({6, 7}, 0.0, False, id="pairs-6-7-pi_p-0"),
+            pytest.param({6}, 0.5, True, id="pair-6-pi_p-0.5"),
+        ],
+    )
+    def test_ties_must_share_each_weighted_generator(self, monkeypatch, tied, pi_p, agree):
+        report = self.verify_with_tied_pairs(monkeypatch, tied, pi_p)
+        assert report.whole_n_tied == len(tied)
+        assert report.whole_minimizer_gp.tolist() == [1.0, 0.0]  # pair 6, the target, is tied
+        assert report.whole_minimizer_gn.tolist() == [0.0, 1.0]
+        assert report.whole_ties_agree == agree

@@ -60,21 +60,15 @@ class TestPrecisionRecallF1:
 
 class TestAggregate:
     def test_mean_and_sample_std(self):
-        res = aggregate([{"f1": 0.5}, {"f1": 0.6}])
-        assert res.n_runs == 2
-        assert res.mean["f1"] == pytest.approx(0.55, abs=1e-12)
+        mean, std = aggregate([{"f1": 0.5}, {"f1": 0.6}])
+        assert mean["f1"] == pytest.approx(0.55, abs=1e-12)
         # sample std of {0.5, 0.6} = |0.05|*sqrt(2)
-        assert res.std["f1"] == pytest.approx(0.07071067811865477, abs=1e-12)
+        assert std["f1"] == pytest.approx(0.07071067811865477, abs=1e-12)
 
     def test_single_run_flagged_zero_std(self):
-        res = aggregate([{"f1": 0.9, "precision": 1.0}])
-        assert res.n_runs == 1 and res.std == {"f1": 0.0, "precision": 0.0}
-
-    def test_inconsistent_keys_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([{"f1": 0.5}, {"precision": 0.5}])
-        with pytest.raises(ValueError):
-            aggregate([])
+        mean, std = aggregate([{"f1": 0.9, "precision": 1.0}])
+        assert mean == {"f1": 0.9, "precision": 1.0}
+        assert std == {"f1": 0.0, "precision": 0.0}
 
 
 def _scan_block_rows(n_real: int) -> int:
@@ -85,13 +79,13 @@ def _report_block_rows(dim: int) -> int:
     return metrics.REPORT_BLOCK_BYTES // (8 * dim)
 
 
-def _whole_sample_report(real, generated, n_cap, seed, pairing):
+def _whole_sample_report(real, generated, seed, pairing):
     """similarity_report computed on the whole sample at once, partners from
     scipy's tree: the reference the blocked report must match bit for bit."""
     from scipy.spatial import cKDTree
 
     rng = np.random.default_rng(seed)
-    n = min(n_cap, len(generated))
+    n = len(generated)
     gen = generated[rng.choice(len(generated), size=n, replace=False)]
     if pairing == "nearest":
         partners = real[cKDTree(real).query(gen, k=1)[1]]
@@ -106,23 +100,18 @@ def _whole_sample_report(real, generated, n_cap, seed, pairing):
 
 
 class TestBlockedSimilarityReport:
-    # (dim, generated rows, n_cap); 2-D takes scipy's tree, 64-D the scan
+    # (dim, generated rows); 2-D takes scipy's tree, 64-D the scan
     @pytest.mark.parametrize(
-        "dim, n_gen, n_cap",
+        "dim, n_gen",
         [
-            pytest.param(2, 2 * _report_block_rows(2) + 7, 20000, id="2-short-last-block"),
-            pytest.param(64, 2 * _report_block_rows(64) + 7, 20000, id="64-short-last-block"),
-            pytest.param(2, 500, 300, id="2-capped"),
-            pytest.param(
-                64, 3 * _report_block_rows(64), _report_block_rows(64) + 5, id="64-capped"
-            ),
-            pytest.param(2, 40, 1, id="2-one-row"),
-            pytest.param(64, 1, 20000, id="64-one-row"),
+            pytest.param(2, 2 * _report_block_rows(2) + 7, id="2-short-last-block"),
+            pytest.param(64, 2 * _report_block_rows(64) + 7, id="64-short-last-block"),
+            pytest.param(64, 1, id="64-one-row"),
         ],
     )
     @pytest.mark.parametrize("rows", ["plain", "zero-norm", "duplicated-real"])
     @pytest.mark.parametrize("pairing", ["nearest", "random"])
-    def test_matches_the_whole_sample_formula(self, dim, n_gen, n_cap, rows, pairing):
+    def test_matches_the_whole_sample_formula(self, dim, n_gen, rows, pairing):
         rng = np.random.default_rng(dim + n_gen)
         real = rng.standard_normal((150, dim))
         gen = rng.standard_normal((n_gen, dim))
@@ -131,31 +120,24 @@ class TestBlockedSimilarityReport:
             gen[::3] = 0.0
         elif rows == "duplicated-real":  # nearest ties go to the lowest index
             real = np.concatenate([real, real])
-        got = similarity_report(real, gen, n_cap=n_cap, seed=5, pairing=pairing)
-        want = _whole_sample_report(real, gen, n_cap, 5, pairing)
+        got = similarity_report(real, gen, seed=5, pairing=pairing)
+        want = _whole_sample_report(real, gen, 5, pairing)
         assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
     @pytest.mark.parametrize("pairing", ["nearest", "random"])
     @pytest.mark.parametrize(
-        "real_cols, gen_cols, n_cap, match",
-        [
-            (3, 3, 0, "n_cap"),
-            (3, 3, -2, "n_cap"),
-            (3, 4, 20000, "columns"),
-            (64, 2, 20000, "columns"),
-        ],
+        "real_cols, gen_cols",
+        [(3, 4), (64, 2)],
     )
-    def test_bad_input_fails_before_any_work(
-        self, real_cols, gen_cols, n_cap, match, pairing, monkeypatch
-    ):
+    def test_bad_input_fails_before_any_work(self, real_cols, gen_cols, pairing, monkeypatch):
         def no_tree(_):
             raise AssertionError("the nearest-neighbour tree was built")
 
         monkeypatch.setattr(metrics, "cKDTree", no_tree)
         rng = np.random.default_rng(6)
         real, gen = rng.standard_normal((20, real_cols)), rng.standard_normal((10, gen_cols))
-        with pytest.raises(ValueError, match=match):
-            similarity_report(real, gen, n_cap=n_cap, pairing=pairing)
+        with pytest.raises(ValueError, match="columns"):
+            similarity_report(real, gen, pairing=pairing)
 
 
 class TestSimilarityReport:
@@ -250,14 +232,6 @@ class TestSimilarityReport:
         assert cos == pytest.approx(0.0, abs=1e-12)
         assert man == pytest.approx(2.0, abs=1e-12)
         assert euc == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
-    def test_cap_limits_sample(self):
-        rng = np.random.default_rng(3)
-        real = rng.standard_normal((100, 3))
-        gen = rng.standard_normal((100, 3))
-        a = similarity_report(real, gen, n_cap=10, seed=0)
-        b = similarity_report(real, gen, n_cap=10, seed=0)
-        assert a == b
 
     def test_seeded_random_pairing_reproducible(self):
         rng = np.random.default_rng(4)

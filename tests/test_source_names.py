@@ -31,14 +31,8 @@ UNCALLED_BY_DESIGN = {
     "equilibrium.optimal_t_ternary":
         "acceptance criterion 2's closed-form maximiser, symmetric in b and c",
     "equilibrium.jsd":
-        "closed-form reference that tests/test_equilibrium.py checks; the whole-game "
-        "verdict (ROADMAP item 1 step 1) gives it a caller",
-    "equilibrium.value_fn":
-        "closed-form reference that tests/test_equilibrium.py checks; the whole-game "
-        "verdict (ROADMAP item 1 step 1) gives it a caller",
-    "equilibrium.optimal_discriminators":
-        "closed-form reference that tests/test_equilibrium.py checks; the whole-game "
-        "verdict (ROADMAP item 1 step 1) gives it a caller",
+        "closed-form reference: tests/test_equilibrium.py checks that each class's "
+        "whole-game term (class_values) equals 2*JSD - 2*ln(2)",
     "trigan.g_y_loss_generator_labels":
         "reference loss for G_Y_ROW's grad check in tests/test_trigan.py, until the "
         "benchmark admits a 17th grad-check rule (ROADMAP item 7)",
