@@ -118,6 +118,11 @@ STEP_FUNCTIONS = {name: partial(trigan.run_steps, table) for name, table in STEP
 # --- supervised baseline ----------------------------------------------------
 
 
+def bce_grad(labels: np.ndarray):
+    # d/ds of the mean binary cross-entropy of sigmoid outputs s against labels
+    return lambda s, m: (s - labels) / (m * s * (1 - s))
+
+
 def baseline_train(
     data: LabeledDataset,
     cfg: TrainConfig,
@@ -137,7 +142,7 @@ def baseline_train(
         idx = rng.integers(0, n, cfg.batch_size)
         xb = data.features[idx]
         yb = data.labels[idx].astype(np.float64).reshape(-1, 1)
-        grads, (s,) = trigan.net_grads(net, [(xb, lambda s, m: (s - yb) / (m * s * (1 - s)))])
+        grads, (s,) = trigan.net_grads(net, [(xb, bce_grad(yb))])
         bce = float(-(yb * np.log(s) + (1 - yb) * np.log(1 - s)).mean())
         optimizer_step(net, grads, opt, "descend")
         return {"loss_label": bce}

@@ -12,7 +12,8 @@ recorded. The proposed step's forwards must equal the benchmark's own
 FORWARDS_PER_STEP; dropping g_y's forwards or reusing generator outputs
 changes both in one commit. A rule that returns no gradient takes no
 optimizer step, so the variants' counts may change without a benchmark
-change.
+change. The corpus-oracle workload also checks `overall: PASS` from
+verify-equilibrium on its own masses, so that verdict is checked here too.
 """
 
 import importlib.util
@@ -28,6 +29,7 @@ import pytest
 import claimgan.cli  # noqa: F401 - loads every module the tracer patches
 from claimgan import metrics, trigan
 from claimgan.data import gaussian_mixture
+from claimgan.equilibrium import verify_equilibrium
 from claimgan.nets import forward, make_optimizer, net_init
 from claimgan.variants import STEP_FUNCTIONS, STEP_TABLES
 
@@ -248,3 +250,18 @@ def test_bench_setup_builds_a_trainable_model(workload, tmp_path, monkeypatch):
     z, z2 = (rng.standard_normal((cfg.batch_size, model.noise_dim)) for _ in range(2))
     losses = trigan.proposed_step(model, opts, cfg, x_p, x_n, x, z, z2)
     assert np.isfinite(list(losses.values())).all()
+
+
+@pytest.mark.parametrize(
+    "k, seeds",
+    [pytest.param(2, range(30), id="k2-seeds-0-29"), pytest.param(3, [0], id="k3-seed-0")],
+)
+def test_the_benchmarks_equilibrium_masses_pass(k, seeds):
+    """The corpus-oracle workload checks `overall: PASS` for verify-equilibrium
+    on oracle_inputs' masses; its k=3 grid takes about 4 s, so one seed."""
+    inputs = _perfbench("inputs")
+    for seed in seeds:
+        oracle = inputs.oracle_inputs(seed)
+        (v,) = [v for v in oracle["verify"] if v["k"] == k]
+        report = verify_equilibrium(v["pp"], v["pn"], v["pi_p"], oracle["grid_step"])
+        assert report.passed, f"seed {seed}: {report.lines()}"

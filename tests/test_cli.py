@@ -802,6 +802,8 @@ class TestVerifyEquilibrium:
             "whole-game minimizer p_gp = [0.25, 0.25, 0.5]",
             "whole-game minimizer p_gn = [0.5, 0.25, 0.25]",
             "whole-game minimum       = -2.772588722239781",
+            "whole-game ties put p_gp on one point within a step of p_p: ok",
+            "whole-game ties put p_gn on one point within a step of p_n: ok",
             "whole-game minimizer unique on grid: yes",
         ):
             assert line in lines
@@ -815,15 +817,50 @@ class TestVerifyEquilibrium:
         assert main(["verify-equilibrium", *self.TIED_LABEL_GAME]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "whole-game minimum       = -2.7698991109072706" in lines
-        assert "whole-game minimizer at (p_p, p_n) within grid tolerance: FAIL" in lines
+        assert "whole-game ties put p_gp on one point within a step of p_p: FAIL" in lines
         assert lines[-1] == "overall: FAIL"
 
-    @pytest.mark.parametrize("pi_p", ["0", "1"])
-    def test_a_zero_prior_passes_with_its_generator_free(self, pi_p, capsys):
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            pytest.param(lambda pos, neg: (0 * pos, neg), id="no-positive-term"),
+            pytest.param(lambda pos, neg: (pos, 0 * neg), id="no-negative-term"),
+            pytest.param(lambda pos, neg: (0 * pos, 0 * neg), id="no-class-terms"),
+        ],
+    )
+    def test_a_dropped_class_term_fails(self, terms, capsys, monkeypatch):
+        # test_swapped_class_terms_fail covers swapping them
+        class_values = equilibrium.class_values
+        monkeypatch.setattr(
+            equilibrium, "class_values", lambda p_p, p_n, grid: terms(*class_values(p_p, p_n, grid))
+        )
+        assert main(["verify-equilibrium"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
+
+    @pytest.mark.parametrize("pi_p, gp, gn", [("0", "free", "ok"), ("1", "ok", "free")])
+    def test_a_zero_prior_passes_with_its_generator_free(self, pi_p, gp, gn, capsys):
         assert main(["verify-equilibrium", "--pi-p", pi_p]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "whole-game minimizer unique on grid: no (21 tied)" in lines
-        assert "whole-game ties share each weighted generator: ok" in lines
+        assert f"whole-game ties put p_gp on one point within a step of p_p: {gp}" in lines
+        assert f"whole-game ties put p_gn on one point within a step of p_n: {gn}" in lines
+        assert lines[-1] == "overall: PASS"
+
+    # pi_p times the least gap of the positive class term, 0.0353, against 1e-9
+    @pytest.mark.parametrize("pi_p, gp", [("1e-12", "free"), ("2.8e-8", "free"), ("2.9e-8", "ok")])
+    def test_a_tiny_prior_frees_its_generator_only_within_a_tie(self, pi_p, gp, capsys):
+        assert main(["verify-equilibrium", "--pi-p", pi_p]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"whole-game ties put p_gp on one point within a step of p_p: {gp}" in lines
+        assert "whole-game ties put p_gn on one point within a step of p_n: ok" in lines
+        assert lines[-1] == "overall: PASS"
+
+    def test_a_support_of_one_judges_both_generators(self, capsys):
+        # each class term has one value, and a prior of 0.5
+        assert main(["verify-equilibrium", "-k", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "whole-game ties put p_gp on one point within a step of p_p: ok" in lines
+        assert "whole-game ties put p_gn on one point within a step of p_n: ok" in lines
         assert lines[-1] == "overall: PASS"
 
     def test_support_of_five_on_a_coarse_grid_runs(self, capsys):

@@ -279,9 +279,20 @@ class TestGridTies:
         assert report.minimizer_gp.tolist() == [0.0, 1.0]
         assert report.minimizer_gn.tolist() == [0.5, 0.5]
 
+    def test_every_tie_must_reproduce_the_data_mixture(self, monkeypatch):
+        # step 0.25: pair 20 ([1,0],[0,1]) is the target and the nearest tie;
+        # pair 0 ([0,1],[0,1]) has mixture [0,1], 0.5 from the data's [.5,.5]
+        values = iter([0.5 if i in (0, 20) else 2.0 for i in range(25)])
+        monkeypatch.setattr(equilibrium, "v_star", lambda *args: next(values))
+        report = verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=0.5, grid_step=0.25)
+        assert report.minimizer_gp.tolist() == [1.0, 0.0]
+        assert report.minimizer_gn.tolist() == [0.0, 1.0]
+        assert not report.ties_reproduce_mixture and not report.passed
+
 
 class TestReportVerdict:
-    """`passed` is the conjunction of eight measured conditions."""
+    """`passed` is the conjunction of the two tie-set rules and the two gaps;
+    a generator the whole game leaves free (None) does not fail it."""
 
     @pytest.fixture
     def report(self):
@@ -290,14 +301,18 @@ class TestReportVerdict:
         return report
 
     @pytest.mark.parametrize(
-        "field",
-        [
-            "satisfies_gp_eq_pp", "satisfies_gn_eq_pn", "satisfies_mixture",
-            "grid_contains_target", "whole_at_target", "whole_ties_agree",
-        ],
+        "field", ["ties_reproduce_mixture", "whole_gp_on_class", "whole_gn_on_class"]
     )
     def test_fails_on_any_failed_check(self, report, field):
         assert not dataclasses.replace(report, **{field: False}).passed
+
+    @pytest.mark.parametrize("field", ["whole_gp_on_class", "whole_gn_on_class"])
+    def test_a_free_generator_passes_and_prints_free(self, report, field):
+        free = dataclasses.replace(report, **{field: None})
+        assert free.passed
+        gen = field.split("_")[1]
+        assert sum(l.startswith(f"whole-game ties put p_{gen} ") and l.endswith(": free")
+                   for l in free.lines()) == 1
 
     def test_fails_when_the_gap_exceeds_the_slack(self, report):
         assert not dataclasses.replace(report, min_value=EQUILIBRIUM_VALUE + 0.06).passed
@@ -313,15 +328,14 @@ class TestReportVerdict:
         assert dataclasses.replace(report, whole_min_value=whole + 0.01).passed
 
     def test_fails_when_the_objective_swaps_the_generators(self, monkeypatch):
-        # with the priors' weights on the wrong generators, the minimizers
-        # nearest the target reach 0.8*p_gn + 0.2*p_gp = p, not p_gn = p_n
+        # with the priors' weights on the wrong generators, the label game's
+        # ties reach 0.8*p_gn + 0.2*p_gp = p, not the data mixture
         v_star = equilibrium.v_star
         monkeypatch.setattr(
             equilibrium, "v_star", lambda p, gp, gn, pi_p, pi_n: v_star(p, gn, gp, pi_p, pi_n)
         )
         report = verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=0.8, grid_step=0.05)
-        assert not report.satisfies_gn_eq_pn and not report.satisfies_mixture
-        assert not report.passed
+        assert not report.ties_reproduce_mixture and not report.passed
 
     @pytest.mark.parametrize("n_tied", [1, 2, 18])
     def test_uniqueness_line(self, report, n_tied):
@@ -350,11 +364,12 @@ class TestWholeGame:
     def test_one_minimizer_at_the_target(self, p_p, p_n, pi_p, step):
         report = verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step)
         assert report.n_tied > 1  # the label game alone ties
-        assert report.whole_n_tied == 1 and report.whole_ties_agree
+        assert report.whole_n_tied == 1
         assert report.whole_minimizer_gp.tolist() == p_p
         assert report.whole_minimizer_gn.tolist() == p_n
         assert report.whole_min_value == pytest.approx(4 * math.log(0.5), abs=1e-15)
-        assert report.whole_at_target and report.passed
+        assert report.whole_gp_on_class is report.whole_gn_on_class is True
+        assert report.ties_reproduce_mixture and report.passed
 
     def test_class_values_are_twice_jsd_less_2ln2(self):
         rng = np.random.default_rng(0)
@@ -368,13 +383,14 @@ class TestWholeGame:
 
     @pytest.mark.parametrize("p_p, p_n, pi_p, step", WHOLE_GAME_CASES)
     def test_fails_when_the_class_terms_swap_the_classes(self, p_p, p_n, pi_p, step, monkeypatch):
-        # the label game cannot tell: its minimizer nearest the target stays put
+        # the label game cannot tell: its ties still reproduce the mixture
         monkeypatch.setattr(
             equilibrium, "class_values", lambda p_p, p_n, grid: class_values(p_n, p_p, grid)
         )
         report = verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step)
-        assert report.satisfies_gp_eq_pp and report.satisfies_gn_eq_pn
-        assert not report.whole_at_target and not report.passed
+        assert report.ties_reproduce_mixture
+        assert report.whole_gp_on_class is report.whole_gn_on_class is False
+        assert not report.passed
 
     @pytest.mark.parametrize("pi_p", [0.0, 1.0])
     @pytest.mark.parametrize("k, step, n_tied", [(2, 0.05, 21), (3, 0.125, 45)])
@@ -382,14 +398,17 @@ class TestWholeGame:
         # every grid point ties as the unweighted class's generator
         p_p, p_n = np.eye(k)[0], np.eye(k)[1]
         report = verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step)
-        assert report.whole_n_tied == n_tied and report.whole_ties_agree
-        assert report.whole_at_target and report.passed
+        assert report.whole_n_tied == n_tied
+        verdicts = (report.whole_gp_on_class, report.whole_gn_on_class)
+        assert verdicts == ((None, True) if pi_p == 0 else (True, None))
+        assert report.passed
 
 
 class TestWholeGameTies:
     """With the class terms zero, the whole game is the label game; v_star is
     replaced by a crafted sequence of values, one per pair in row-major order
-    of simplex_grid(2, 0.5): [0, 1], [0.5, 0.5], [1, 0]."""
+    of simplex_grid(2, 0.5): [0, 1], [0.5, 0.5], [1, 0]. A constant class term
+    leaves a generator free only at a zero prior."""
 
     GRID = simplex_grid(2, 0.5)
 
@@ -402,21 +421,49 @@ class TestWholeGameTies:
         return verify_equilibrium([1.0, 0.0], [0.0, 1.0], pi_p=pi_p, grid_step=0.5)
 
     @pytest.mark.parametrize(
-        "tied, pi_p, agree",
+        "tied, pi_p, on_class",
         [
             # pairs 0 ([0,1],[0,1]) and 6 ([1,0],[0,1]) share p_gn, not p_gp
-            pytest.param({0, 6}, 0.5, False, id="pairs-0-6-pi_p-0.5"),
-            pytest.param({0, 6}, 0.0, True, id="pairs-0-6-pi_p-0"),
-            pytest.param({0, 6}, 1.0, False, id="pairs-0-6-pi_p-1"),
+            pytest.param({0, 6}, 0.5, (False, True), id="pairs-0-6-pi_p-0.5"),
+            pytest.param({0, 6}, 0.0, (None, True), id="pairs-0-6-pi_p-0"),
+            pytest.param({0, 6}, 1.0, (False, None), id="pairs-0-6-pi_p-1"),
             # pairs 6 ([1,0],[0,1]) and 7 ([1,0],[.5,.5]) share p_gp, not p_gn
-            pytest.param({6, 7}, 1.0, True, id="pairs-6-7-pi_p-1"),
-            pytest.param({6, 7}, 0.0, False, id="pairs-6-7-pi_p-0"),
-            pytest.param({6}, 0.5, True, id="pair-6-pi_p-0.5"),
+            pytest.param({6, 7}, 1.0, (True, None), id="pairs-6-7-pi_p-1"),
+            pytest.param({6, 7}, 0.0, (None, False), id="pairs-6-7-pi_p-0"),
+            pytest.param({6}, 0.5, (True, True), id="pair-6-pi_p-0.5"),
         ],
     )
-    def test_ties_must_share_each_weighted_generator(self, monkeypatch, tied, pi_p, agree):
+    def test_ties_must_share_each_weighted_generator(self, monkeypatch, tied, pi_p, on_class):
         report = self.verify_with_tied_pairs(monkeypatch, tied, pi_p)
         assert report.whole_n_tied == len(tied)
         assert report.whole_minimizer_gp.tolist() == [1.0, 0.0]  # pair 6, the target, is tied
         assert report.whole_minimizer_gn.tolist() == [0.0, 1.0]
-        assert report.whole_ties_agree == agree
+        assert (report.whole_gp_on_class, report.whole_gn_on_class) == on_class
+
+    def test_one_tie_off_the_target_fails(self, monkeypatch):
+        # pair 0 ([0,1],[0,1]) alone: p_gp sits on one point, two steps from p_p
+        report = self.verify_with_tied_pairs(monkeypatch, {0}, 0.5)
+        assert report.whole_gp_on_class is False and report.whole_gn_on_class is True
+
+
+# 0, 1, 40 priors log-spaced in [1e-14, 0.49] and their mirrors
+SWEPT_PRIORS = [0.0, 1.0, *np.logspace(-14, math.log10(0.49), 40).tolist()]
+SWEPT_PRIORS += [1.0 - pi_p for pi_p in SWEPT_PRIORS[2:]]
+
+
+@pytest.mark.parametrize(
+    "p_p, p_n, step",
+    [
+        pytest.param([1.0, 0.0], [0.0, 1.0], 0.05, id="one-hot-2"),
+        pytest.param([0.75, 0.25], [0.25, 0.75], 0.05, id="overlapping-2"),
+        pytest.param([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.125, id="one-hot-3"),
+        pytest.param([0.25, 0.25, 0.5], [0.5, 0.25, 0.25], 0.125, id="overlapping-3"),
+    ],
+)
+def test_every_prior_passes_on_grid_masses(p_p, p_n, step):
+    """A generator whose weighted class term moves the game by no more than
+    a tie is free; every other one must sit on its class, at any prior."""
+    assert len(SWEPT_PRIORS) == 82
+    failed = [pi_p for pi_p in SWEPT_PRIORS
+              if not verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=step).passed]
+    assert failed == []
