@@ -385,18 +385,22 @@ def optimizer_step(
 
 
 def checkpoint_save(nets: dict[str, NeuralNet], path) -> None:
-    """Write all nets to a versioned JSON document, losslessly."""
+    """Write all nets to a versioned JSON document, losslessly.
+
+    The document holds the layers' arrays, and json.dump's encoder turns
+    each into a list only as it writes that array, so no list of every
+    parameter is built; the bytes are those of the all-list document."""
     doc = {"version": CHECKPOINT_VERSION, "nets": {}}
     for name, net in nets.items():
         dims = [net.input_dim] + [l.weight.shape[0] for l in net.layers]
         doc["nets"][name] = {
             "dims": dims,
             "activations": [l.activation for l in net.layers],
-            "weights": [l.weight.tolist() for l in net.layers],
-            "biases": [l.bias.tolist() for l in net.layers],
+            "weights": [l.weight for l in net.layers],
+            "biases": [l.bias for l in net.layers],
         }
     with atomic_open(path) as f:
-        json.dump(doc, f)
+        json.dump(doc, f, default=np.ndarray.tolist)
 
 
 def checkpoint_load(path) -> dict[str, NeuralNet]:
@@ -410,7 +414,7 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
 
 def _read_checkpoint(path) -> dict[str, NeuralNet]:
     try:
-        doc = json.loads("".join(read_lines(path)))
+        doc = json.loads("".join(read_lines(path)), object_hook=_parameter_arrays)
     except (json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
@@ -429,8 +433,8 @@ def _read_checkpoint(path) -> dict[str, NeuralNet]:
             acts = rec["activations"]
             layers = []
             for k, act in enumerate(acts):
-                w = np.array(rec["weights"][k], dtype=np.float64)
-                b = np.array(rec["biases"][k], dtype=np.float64)
+                w = np.asarray(rec["weights"][k], dtype=np.float64)
+                b = np.asarray(rec["biases"][k], dtype=np.float64)
                 if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
                     raise CheckpointError(f"net {name!r}: parameter shape mismatch")
                 if not (np.isfinite(w).all() and np.isfinite(b).all()):
@@ -445,3 +449,20 @@ def _read_checkpoint(path) -> dict[str, NeuralNet]:
     except OverflowError as e:  # an int beyond float range
         raise CheckpointError(f"net {name!r}: {e}") from e
     return nets
+
+
+def _parameter_arrays(obj: dict) -> dict:
+    """json.loads' object_hook: turn each entry of a parsed object's
+    "weights" and "biases" lists into a float64 array as soon as the parser
+    has finished that object (a net's record), so the float lists of one net
+    at a time are alive. An entry numpy refuses is kept as parsed, for
+    _read_checkpoint's checks to reject in their order and words."""
+    for key in ("weights", "biases"):
+        params = obj.get(key)
+        if isinstance(params, list):
+            for k, p in enumerate(params):
+                try:
+                    params[k] = np.array(p, dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    pass
+    return obj

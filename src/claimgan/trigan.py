@@ -492,7 +492,8 @@ def train(
         gen_pos = forward(model.g_p, z_eval, keep_cache=False)[0]
         del z_eval  # not held through the pairing
         rec.cos, rec.man, rec.euc = similarity_report(
-            allx[pos_rows], gen_pos, seed=int(eval_rng.integers(0, 2**32)), pairing=cfg.pairing
+            allx, gen_pos, seed=int(eval_rng.integers(0, 2**32)), pairing=cfg.pairing,
+            rows=pos_rows,
         )
 
     records = run_loop(cfg, run_id, data, val_data, step,

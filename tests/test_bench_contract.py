@@ -13,13 +13,16 @@ FORWARDS_PER_STEP; dropping g_y's forwards or reusing generator outputs
 changes both in one commit. A rule that returns no gradient takes no
 optimizer step, so the variants' counts may change without a benchmark
 change. The corpus-oracle workload also checks `overall: PASS` from
-verify-equilibrium on its own masses, so that verdict is checked here too.
+verify-equilibrium on its own masses, so that verdict is checked here too,
+and the similarity columns of a short run on its corpus are checked against
+the whole-sample formula.
 """
 
 import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -250,6 +253,39 @@ def test_bench_setup_builds_a_trainable_model(workload, tmp_path, monkeypatch):
     z, z2 = (rng.standard_normal((cfg.batch_size, model.noise_dim)) for _ in range(2))
     losses = trigan.proposed_step(model, opts, cfg, x_p, x_n, x, z, z2)
     assert np.isfinite(list(losses.values())).all()
+
+
+def test_the_benchmarks_similarity_columns_match_the_whole_sample_formula(tmp_path, monkeypatch):
+    """Trained on the benchmark's seed-0 corpus for 100 iterations with an
+    eval every 50, each eval's cos/man/euc equal the whole-sample formula
+    on a float64 copy of the real positives, bit for bit. A scan margin too
+    narrow for its float32 prefilter fails here, before it moves the
+    benchmark's telemetry digest."""
+    from test_metrics import _whole_sample_report
+
+    child, inputs = _perfbench("child"), _perfbench("inputs")
+    with open(inputs.write_inputs("corpus-oracle", 0, str(tmp_path))) as f:
+        inp = json.load(f)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # _Package prepends src/
+    state = child.WORKLOADS["corpus-oracle"][0](inp, child._Package(str(ROOT / "src")))
+    calls = []
+    report = trigan.similarity_report
+
+    def recording_report(real, generated, **kwargs):
+        calls.append((real, generated, kwargs))
+        return report(real, generated, **kwargs)
+
+    monkeypatch.setattr(trigan, "similarity_report", recording_report)
+    cfg = replace(state["tcfg"], iterations=100)
+    assert cfg.eval_every == 50
+    _, records = trigan.train(state["model"], state["train_ds"], cfg, val_data=state["val_ds"])
+    evals = [r for r in records if r.cos is not None]
+    assert len(evals) == len(calls) == 2
+    for rec, (real, generated, kwargs) in zip(evals, calls):
+        want = _whole_sample_report(real[kwargs["rows"]], generated, kwargs["seed"],
+                                    kwargs["pairing"])
+        got = (rec.cos, rec.man, rec.euc)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 @pytest.mark.parametrize(

@@ -72,7 +72,7 @@ class TestAggregate:
 
 
 def _scan_block_rows(n_real: int) -> int:
-    return metrics.SCAN_BLOCK_BYTES // (8 * n_real)
+    return metrics.SCAN_BLOCK_BYTES // (4 * n_real)
 
 
 def _report_block_rows(dim: int) -> int:
@@ -137,6 +137,42 @@ class TestBlockedSimilarityReport:
         rng = np.random.default_rng(6)
         real, gen = rng.standard_normal((20, real_cols)), rng.standard_normal((10, gen_cols))
         with pytest.raises(ValueError, match="columns"):
+            similarity_report(real, gen, pairing=pairing)
+
+    @pytest.mark.parametrize("pairing", ["nearest", "random"])
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_rows_pair_against_the_real_rows_they_name(self, dim, pairing):
+        # a shuffled subset of the rows: train hands over its features and
+        # the positives' row numbers, not a copy of the positives
+        rng = np.random.default_rng(15)
+        features = rng.standard_normal((400, dim))
+        rows = rng.permutation(400)[:150]
+        gen = rng.standard_normal((2 * _report_block_rows(dim) + 7, dim))
+        got = similarity_report(features, gen, seed=5, pairing=pairing, rows=rows)
+        want = _whole_sample_report(features[rows], gen, 5, pairing)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("pairing", ["nearest", "random"])
+    @pytest.mark.parametrize("dim", [2, 64])
+    @pytest.mark.parametrize("bad", ["nan-row", "inf-sample", "minus-inf-entry"])
+    def test_non_finite_generated_samples_fail_before_any_pairing(
+        self, dim, bad, pairing, monkeypatch
+    ):
+        # random pairing used to return nan or inf means; 2-D nearest pairing
+        # raised scipy's own error
+        def no_tree(*_):
+            raise AssertionError("the nearest-neighbour tree was built")
+
+        monkeypatch.setattr(metrics, "cKDTree", no_tree)
+        rng = np.random.default_rng(14)
+        real, gen = rng.standard_normal((30, dim)), rng.standard_normal((20, dim))
+        if bad == "nan-row":
+            gen[4] = np.nan
+        elif bad == "inf-sample":
+            gen[:] = np.inf
+        else:
+            gen[7, -1] = -np.inf
+        with pytest.raises(ValueError, match="^generated samples must be finite$"):
             similarity_report(real, gen, pairing=pairing)
 
 
@@ -210,6 +246,17 @@ class TestSimilarityReport:
         with pytest.raises(ValueError, match="finite"):
             metrics.cKDTree(real).query(gen, k=1)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("where", ["real", "generated"])
+    def test_norms_at_or_over_the_scan_guard_rejected(self, scale, where):
+        # finite rows past float32's range and past the scan's unit range
+        # are refused at query time, with no overflow warning on the way
+        real = np.random.default_rng(16).standard_normal((20, 64))
+        gen = real.copy()
+        (real if where == "real" else gen)[3] *= scale
+        with pytest.raises(ValueError, match="norms below 1e150"):
+            metrics.cKDTree(real).query(gen, k=1)
+
     def test_identical_sets_nearest(self):
         x = np.random.default_rng(0).standard_normal((50, 4))
         cos, man, euc = similarity_report(x, x, pairing="nearest")
@@ -247,6 +294,87 @@ class TestSimilarityReport:
             similarity_report(np.zeros((0, 2)), x)
         with pytest.raises(ValueError):
             similarity_report(x, x, pairing="farthest")
+
+
+def _lowest_nearest(data, queries):
+    """scipy's nearest distance of each query row among the data rows, and
+    the lowest index of a row at that distance: cKDTree's k=len(data) query
+    gives every row's distance by scipy's own summation."""
+    from scipy.spatial import cKDTree
+
+    dist, idx = cKDTree(data).query(queries, k=len(data))
+    return dist[:, 0], np.where(dist == dist[:, :1], idx, len(data)).min(axis=1)
+
+
+def _scan_cases(dim):
+    """(name, data, rows, queries): inputs built to defeat a float32 prefilter."""
+    rng = np.random.default_rng(dim)
+    real = rng.standard_normal((200, dim))
+    # each query sits 1e-10 of their distance nearer one of two real rows than
+    # the other: finer than float32 resolves, wider than float64 does
+    towards = real[:100] - real[100:]
+    side = np.where(np.arange(100) % 2, 1.0, -1.0)[:, None]
+    near_ties = (real[:100] + real[100:]) / 2 + side * 1e-10 * towards
+    yield "near-ties", real, None, near_ties
+    # every coordinate somewhere in 1e-30..1e30, and queries near the rows
+    span = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-30, 30, (300, dim))
+    queries = span[:150] * (1 + 1e-6 * rng.standard_normal((150, dim)))
+    yield "magnitudes-1e-30-1e30", span, None, np.concatenate([queries, span[150:] * 1e-3])
+    # rows and queries 1e4 from the origin but within a few units of each
+    # other: |b|^2 and q.b dwarf the distances, so the margin keeps every
+    # row and the exact re-rank alone decides, in many candidate chunks
+    centre = 1e4 * rng.standard_normal(dim) / np.sqrt(dim)
+    yield "offset", centre + real, None, centre + rng.standard_normal((150, dim))
+    # every reach |q| + max |b| just under the scan's 1e150 guard
+    big = rng.standard_normal((300, dim))
+    big *= 4.9e149 / np.linalg.norm(big, axis=1).max()
+    far = rng.standard_normal((150, dim))
+    far *= 4.9e149 / np.linalg.norm(far, axis=1).max()
+    yield "norms-under-1e150", big, None, far
+    # three copies of each row: every query's nearest row is tied three ways
+    base = rng.standard_normal((100, dim))
+    copies = np.concatenate([base, base, base])
+    queries = np.concatenate([base[::2], rng.standard_normal((50, dim))])
+    yield "duplicated-rows", copies, None, queries
+    # a shuffled subset of the rows, some repeated
+    rows = np.concatenate([rng.permutation(300)[:200], [7, 3, 7]])
+    yield "unsorted-rows", span * 1e-20, rows, span[rng.permutation(300)[:120]] * 1e-20
+    # queries 1e40 times the data's scale, and 1e-40 times
+    yield "queries-far-larger", real * 1e-20, None, rng.standard_normal((60, dim)) * 1e20
+    yield "queries-far-smaller", real * 1e20, None, rng.standard_normal((60, dim)) * 1e-20
+
+
+SCAN_CASES = [
+    pytest.param(dim, name, id=f"{dim}-{name}")
+    for dim in (11, 64, 768)
+    for name, *_ in _scan_cases(dim)
+]
+
+
+class TestScanAgainstScipy:
+    """The scan's float32 prefilter against scipy's cKDTree: the same
+    distance bits, and the lowest index on ties."""
+
+    @pytest.mark.parametrize("dim, case", SCAN_CASES)
+    def test_same_distance_bits_and_lowest_tied_index(self, dim, case):
+        data, rows, queries = next((d, r, q) for name, d, r, q in _scan_cases(dim) if name == case)
+        dist, idx = metrics.cKDTree(data, rows).query(queries, k=1)
+        real = data if rows is None else data[rows]
+        ref_dist, ref_idx = _lowest_nearest(real, queries)
+        assert np.array_equal(dist.view(np.uint64), ref_dist.view(np.uint64))
+        assert np.array_equal(idx, ref_idx)
+
+    def test_kd_tree_rows_index_the_data_as_scipy_on_their_copy(self):
+        # the scan's side is the unsorted-rows case above
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((400, 2))
+        rows = rng.permutation(400)[:250]
+        queries = rng.standard_normal((90, 2))
+        dist, idx = metrics.cKDTree(data, rows).query(queries, k=1)
+        ref_dist, ref_idx = cKDTree(data[rows]).query(queries, k=1)
+        assert np.array_equal(dist, ref_dist) and np.array_equal(idx, ref_idx)
 
 
 class TestEmitLoad:

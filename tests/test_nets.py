@@ -533,6 +533,84 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="net 'Gy': unknown activation 'swish'"):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize(
+        "nets",
+        [
+            pytest.param({"Gy": net_init([1, 1], ["sigmoid"], 0)}, id="dim-1-one-unit"),
+            pytest.param({"Gp": net_init([1, 1, 1, 1], ["relu", "tanh", "identity"], 1)},
+                         id="one-unit-layers"),
+            pytest.param({act: net_init([3, 2], [act], i) for i, act in enumerate(ACTIVATIONS)},
+                         id="every-activation"),
+            pytest.param({'say "hi"': net_init([2, 1], ["tanh"], 2),
+                          "back\\slash": net_init([2, 1], ["relu"], 3),
+                          "Gé\u2603": net_init([2, 1], ["identity"], 4)},
+                         id="names-with-escapes"),
+            pytest.param({}, id="no-nets"),
+        ],
+    )
+    def test_writer_bytes_are_json_dumps_of_the_document(self, tmp_path, nets):
+        # the v1 document with every array as its list, as the writer built
+        # it before it streamed the arrays
+        doc = {"version": 1, "nets": {
+            name: {
+                "dims": [net.input_dim] + [l.weight.shape[0] for l in net.layers],
+                "activations": [l.activation for l in net.layers],
+                "weights": [l.weight.tolist() for l in net.layers],
+                "biases": [l.bias.tolist() for l in net.layers],
+            }
+            for name, net in nets.items()
+        }}
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(nets, path)
+        assert path.read_bytes() == json.dumps(doc).encode()
+        assert list(checkpoint_load(path)) == list(nets)
+
+    # the loader converts each net's lists to arrays while parsing; a list
+    # numpy refuses must still fail where, and as, it did
+    BIG_INT = "1" + "0" * 400
+    RAGGED = ("malformed checkpoint: setting an array element with a sequence. The "
+              "requested array has an inhomogeneous shape after 1 dimensions. The "
+              "detected shape was (2,) + inhomogeneous part.")
+
+    @pytest.mark.parametrize(
+        "version, weights, biases, message",
+        [
+            pytest.param(1, "[[[1.0, 2.0], [3.0]]]", "[[0.5]]", RAGGED, id="ragged-weights"),
+            pytest.param(1, "[[[1.0, 2.0]]]", "[[0.5, [1.0]]]", RAGGED, id="ragged-biases"),
+            pytest.param(1, "[[[NaN, 2.0]]]", "[[0.5]]",
+                         "malformed checkpoint: net 'Gy': non-finite parameters", id="nan"),
+            pytest.param(1, "[[[1.0, 2.0]]]", "[[-Infinity]]",
+                         "malformed checkpoint: net 'Gy': non-finite parameters", id="inf-bias"),
+            pytest.param(1, "[[[1e400, 2.0]]]", "[[0.5]]",
+                         "malformed checkpoint: net 'Gy': non-finite parameters",
+                         id="float-beyond-range"),
+            pytest.param(1, f"[[[{BIG_INT}, 2.0]]]", "[[0.5]]",
+                         "net 'Gy': int too large to convert to float", id="int-beyond-range"),
+            pytest.param(1, '[[["x", 2.0]]]', "[[0.5]]",
+                         "malformed checkpoint: could not convert string to float: 'x'",
+                         id="string"),
+            pytest.param(1, "[[[1.0, 2.0, 3.0]]]", "[[0.5]]",
+                         "malformed checkpoint: net 'Gy': parameter shape mismatch", id="shape"),
+            pytest.param(1, "[]", "[[0.5]]", "malformed checkpoint: list index out of range",
+                         id="no-weights"),
+            pytest.param(2, "[[[1.0, 2.0], [3.0]]]", "[[0.5]]",
+                         "checkpoint version 2 unsupported (expected 1)", id="version-2-ragged"),
+            pytest.param(2, f"[[[{BIG_INT}]]]", "[[0.5]]",
+                         "checkpoint version 2 unsupported (expected 1)", id="version-2-big-int"),
+        ],
+    )
+    def test_load_errors_keep_their_messages_and_order(
+        self, tmp_path, version, weights, biases, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            f'{{"version": {version}, "nets": {{"Gy": {{"dims": [2, 1], '
+            f'"activations": ["sigmoid"], "weights": {weights}, "biases": {biases}}}}}}}'
+        )
+        with pytest.raises(CheckpointError) as caught:
+            checkpoint_load(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_six_net_names_preserved(self, tmp_path):
         names = ["Gp", "Gn", "Gy", "Dp", "Dn", "Dy"]
         nets = {n: net_init([2, 2, 1], ["tanh", "sigmoid"], i) for i, n in enumerate(names)}

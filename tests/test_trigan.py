@@ -457,6 +457,26 @@ class TestTrain:
         assert str(caught.value) == "iteration 2: non-finite class scores"
         assert len(caught.value.records) == 1
 
+    @pytest.mark.parametrize("pairing", ["nearest", "random"])
+    def test_non_finite_generated_samples_stop_training(self, toy_data, pairing, monkeypatch):
+        # a g_p whose eval sample has a nan row; random pairing used to
+        # write nan similarity scores into the telemetry
+        real_forward = trigan.forward
+
+        def forward(net, batch, *, keep_cache=True):
+            out, cache = real_forward(net, batch, keep_cache=keep_cache)
+            if not keep_cache and out.shape[1] == toy_data.dim:  # the eval's g_p sample
+                out[3] = np.nan
+            return out, cache
+
+        monkeypatch.setattr(trigan, "forward", forward)
+        m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
+        cfg = TrainConfig(iterations=4, eval_every=2, pairing=pairing)
+        with pytest.raises(trigan.TrainingError) as caught:
+            train(m, toy_data, cfg, val_data=toy_data)
+        assert str(caught.value) == "iteration 2: generated samples must be finite"
+        assert len(caught.value.records) == 1
+
     def test_eval_noise_is_freed_before_pairing(self, toy_data, monkeypatch):
         noise, alive_at_report = [], []
 
