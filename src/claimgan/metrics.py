@@ -21,9 +21,9 @@ PAIRINGS = ("nearest", "random")
 # Data with more columns than this are paired by the exact scan below (it
 # needs at least 4), the rest by scipy's KD-tree. Tree indexes fall behind a
 # sequential scan above about 10 dimensions (Weber, Schek & Blott, VLDB
-# 1998). On 3000 x 3000 Gaussian points (2-core Xeon VM, one OpenBLAS
-# thread) the tree took 7 ms at 4-D, 40 ms at 8-D, 82 ms at 10-D and 120 ms
-# at 12-D; the scan took 65-73 ms at each.
+# 1998). On 4000 x 4000 Gaussian points (2-core Xeon VM, one OpenBLAS
+# thread, best of 5) the tree took 6 ms at 4-D, 30 ms at 8-D, 68 ms at 10-D
+# and 117 ms at 12-D; the float32 scan took 61-68 ms up to 10-D, 87 ms at 12-D.
 KD_TREE_MAX_DIM = 10
 # size of each (query rows x data rows) float32 work array of the scan
 SCAN_BLOCK_BYTES = 1 << 19

@@ -405,50 +405,47 @@ def checkpoint_save(nets: dict[str, NeuralNet], path) -> None:
 
 def checkpoint_load(path) -> dict[str, NeuralNet]:
     """The nets checkpoint_save wrote to `path`. An error's message starts
-    with the path, as load_config's and load_claims' errors do."""
+    with the path, as load_config's and load_claims' errors do, and then
+    names the net if one net's record is at fault."""
+    text = "".join(read_lines(path))  # bytes that are not UTF-8 raise here, naming the line
     try:
-        return _read_checkpoint(path)
-    except CheckpointError as e:
-        raise CheckpointError(f"{path}: {e}") from e
-
-
-def _read_checkpoint(path) -> dict[str, NeuralNet]:
-    try:
-        doc = json.loads("".join(read_lines(path)), object_hook=_parameter_arrays)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise CheckpointError(f"malformed checkpoint: {e}") from e
+        doc = json.loads(text, object_hook=_parameter_arrays)
+    except (ValueError, RecursionError) as e:  # bad JSON, or an int past Python's digit limit
+        raise CheckpointError(f"{path}: malformed checkpoint: {e}") from e
     if not isinstance(doc, dict) or "version" not in doc:
-        raise CheckpointError("malformed checkpoint: missing version")
+        raise CheckpointError(f"{path}: malformed checkpoint: missing version")
     version = doc["version"]  # JSON true and 1.0 compare equal to 1
     if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {json.dumps(version)} unsupported (expected {CHECKPOINT_VERSION})"
-        )
+        raise CheckpointError(f"{path}: checkpoint version {json.dumps(version)} "
+                              f"unsupported (expected {CHECKPOINT_VERSION})")
     if not isinstance(doc.get("nets"), dict):
-        raise CheckpointError("malformed checkpoint: nets must be an object")
+        raise CheckpointError(f"{path}: malformed checkpoint: nets must be an object")
     nets = {}
-    try:
-        for name, rec in doc["nets"].items():
-            dims = rec["dims"]
-            acts = rec["activations"]
-            layers = []
-            for k, act in enumerate(acts):
-                w = np.asarray(rec["weights"][k], dtype=np.float64)
-                b = np.asarray(rec["biases"][k], dtype=np.float64)
-                if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
-                    raise CheckpointError(f"net {name!r}: parameter shape mismatch")
-                if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                    raise CheckpointError(f"net {name!r}: non-finite parameters")
-                layers.append(Layer(w, b, act))
-            try:
-                nets[name] = NeuralNet(layers)
-            except (TypeError, ValueError) as e:  # a bad activation or no layers
-                raise CheckpointError(f"net {name!r}: {e}") from e
-    except (KeyError, IndexError, TypeError, ValueError) as e:  # ragged or layerless nets
-        raise CheckpointError(f"malformed checkpoint: {e}") from e
-    except OverflowError as e:  # an int beyond float range
-        raise CheckpointError(f"net {name!r}: {e}") from e
+    for name, rec in doc["nets"].items():
+        try:
+            nets[name] = _net_from_record(rec)
+        except (LookupError, TypeError, ValueError, OverflowError) as e:
+            raise CheckpointError(f"{path}: net {name!r}: {e}") from e
     return nets
+
+
+def _net_from_record(rec) -> NeuralNet:
+    """One net's record: one more dim than activations, weights and biases,
+    at least one layer, and finite parameters of the shapes the dims give."""
+    dims, acts, weights, biases = rec["dims"], rec["activations"], rec["weights"], rec["biases"]
+    if not len(dims) - 1 == len(acts) == len(weights) == len(biases) >= 1:
+        raise ValueError(f"lists disagree or hold no layer: {len(dims)} dims, {len(acts)} "
+                         f"activations, {len(weights)} weights, {len(biases)} biases")
+    layers = []
+    for k, act in enumerate(acts):
+        w = np.asarray(weights[k], dtype=np.float64)
+        b = np.asarray(biases[k], dtype=np.float64)
+        if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
+            raise ValueError("parameter shape mismatch")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("non-finite parameters")
+        layers.append(Layer(w, b, act))
+    return NeuralNet(layers)
 
 
 def _parameter_arrays(obj: dict) -> dict:
@@ -456,7 +453,7 @@ def _parameter_arrays(obj: dict) -> dict:
     "weights" and "biases" lists into a float64 array as soon as the parser
     has finished that object (a net's record), so the float lists of one net
     at a time are alive. An entry numpy refuses is kept as parsed, for
-    _read_checkpoint's checks to reject in their order and words."""
+    _net_from_record's checks to reject in their order and words."""
     for key in ("weights", "biases"):
         params = obj.get(key)
         if isinstance(params, list):

@@ -24,6 +24,7 @@ from claimgan.equilibrium import MAX_GRID_POINTS
 from claimgan.gradcheck import check_all_gradients
 from claimgan.nets import MAX_PARAMETERS, checkpoint_load, checkpoint_save, net_init
 
+from json_values import JSON_VALUES
 from telemetry_csv import load_records
 
 
@@ -194,20 +195,15 @@ class TestConfig:
         assert cfg.train_config().seed == cfg.seed
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=8,
-)
 _DATA_DOCS = st.builds(
     lambda kind, fields: {"kind": kind, **fields},
-    st.sampled_from(["toy-mixture", "corpus", "dataset"]) | _JSON,
-    st.dictionaries(st.sampled_from(sorted({"means", *_DATA_TYPES})), _JSON, max_size=4),
+    st.sampled_from(["toy-mixture", "corpus", "dataset"]) | JSON_VALUES,
+    st.dictionaries(st.sampled_from(sorted({"means", *_DATA_TYPES})), JSON_VALUES, max_size=4),
 )
-_CONFIG_DOCS = _JSON | st.builds(
+_CONFIG_DOCS = JSON_VALUES | st.builds(
     lambda data, fields: {"data": data, **fields},
     _DATA_DOCS,
-    st.dictionaries(st.sampled_from(sorted(_TOP_KEYS - {"data"})), _JSON, max_size=6),
+    st.dictionaries(st.sampled_from(sorted(_TOP_KEYS - {"data"})), JSON_VALUES, max_size=6),
 )
 
 
@@ -399,12 +395,15 @@ class TestTrainEval:
             (1, {"Gy": _gy(outputs=2)}, "Gy must map sample_dim -> 1"),
             (1, {"Gy": {**_gy(), "dims": [3, 1]}}, "net 'Gy': parameter shape mismatch"),
             (1, {"Gy": _gy(weight=10**400)}, "net 'Gy': int too large to convert to float"),
+            # one layer, but a dim too many
+            (1, {"Gy": {**_gy(), "dims": [2, 1, 1]}},
+             "net 'Gy': lists disagree or hold no layer: 3 dims, 1 activations, 1 weights, 1 biases"),
             (True, {}, "checkpoint version true unsupported"),
             (1.0, {}, "checkpoint version 1.0 unsupported"),
             ("1", {}, 'checkpoint version "1" unsupported'),
         ],
         ids=["nets-list", "nets-null", "nan-weight", "inf-weight", "two-output-gy", "shape-mismatch",
-             "huge-int-weight", "version-true", "version-float", "version-string"],
+             "huge-int-weight", "dims-longer", "version-true", "version-float", "version-string"],
     )
     def test_eval_bad_checkpoint_exit_2(self, version, nets, needle, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"

@@ -10,7 +10,9 @@ behaviour change (new arithmetic, new columns, new defaults) and says why;
 re-record it then, never to make an optimisation pass.
 
 The same rule holds for the stdout of `claimgan grad-check --instances 2`,
-which pins the finite-difference checker's values beyond its tolerance.
+which pins the finite-difference checker's values beyond its tolerance, and
+for the stdout of `claimgan verify-equilibrium`, which pins every value it
+prints, not only its verdicts.
 """
 
 import hashlib
@@ -103,6 +105,16 @@ GOLDEN = {
 # sha256 of `claimgan grad-check --instances 2` stdout (17 lines)
 GRAD_CHECK_STDOUT = "77c7fda5c2a4593aa4439059e325ed19eaca05d5803ec5457da76bab5adf6e62"
 
+# `claimgan verify-equilibrium` arguments -> sha256 of its stdout (15 lines)
+VERIFY_EQUILIBRIUM_STDOUT = {
+    "default": ([], "61ed253c345695b603ca4475b66a2f6b9a1d51202c8f7edf9faaf87cda328554"),
+    "k3": (["-k", "3", "--grid-step", "0.125"],
+           "9d8f565d8cdc9b848e93ffc868883a292cd31e5f25ca95449b3a4c502628bd57"),
+    "k3-uneven": (["-k", "3", "--grid-step", "0.125", "--pp", ".25", ".25", ".5",
+                   "--pn", ".5", ".25", ".25", "--pi-p", "0.6"],
+                  "512dea176fc185f68c2ac0b7e4772ec4eb6740ad62754fbfcb036f4a2b6e9fd0"),
+}
+
 
 def _toy_config(overrides: dict) -> dict:
     return {
@@ -167,3 +179,12 @@ def test_grad_check_output_matches_golden(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 17
     assert hashlib.sha256(out.encode()).hexdigest() == GRAD_CHECK_STDOUT, "grad-check output changed"
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_EQUILIBRIUM_STDOUT))
+def test_verify_equilibrium_output_matches_golden(case, capsys):
+    args, digest = VERIFY_EQUILIBRIUM_STDOUT[case]
+    assert main(["verify-equilibrium", *args]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 15
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{case}: output changed"

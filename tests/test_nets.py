@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimgan.nets import (
     ACTIVATIONS,
@@ -23,10 +25,25 @@ from claimgan.nets import (
 )
 
 from flat_layout import unflatten
+from json_values import JSON_VALUES
 
 
 def single_layer(w, b, act):
     return NeuralNet([Layer(np.array(w, dtype=float), np.array(b, dtype=float), act)])
+
+
+def v1_document(nets: dict) -> dict:
+    """The v1 checkpoint document with every array as its list, as the
+    writer built it before it streamed the arrays."""
+    return {"version": 1, "nets": {
+        name: {
+            "dims": [net.input_dim] + [l.weight.shape[0] for l in net.layers],
+            "activations": [l.activation for l in net.layers],
+            "weights": [l.weight.tolist() for l in net.layers],
+            "biases": [l.bias.tolist() for l in net.layers],
+        }
+        for name, net in nets.items()
+    }}
 
 
 class TestInit:
@@ -495,19 +512,63 @@ class TestCheckpoint:
             checkpoint_load(path)
 
     @pytest.mark.parametrize(
-        "rec",
+        "rec, cause",
         [
-            {"dims": [2], "activations": [], "weights": [], "biases": []},
-            {"dims": [2, 2], "activations": ["identity"],
-             "weights": [[[1.0, 2.0], [3.0]]], "biases": [[0.0, 0.0]]},
+            ({"dims": [2], "activations": [], "weights": [], "biases": []},
+             "lists disagree or hold no layer: 1 dims, 0 activations, 0 weights, 0 biases"),
+            ({"dims": [2, 2], "activations": ["identity"],
+              "weights": [[[1.0, 2.0], [3.0]]], "biases": [[0.0, 0.0]]},
+             "setting an array element with a sequence"),
         ],
         ids=["no-layers", "ragged-weights"],
     )
-    def test_malformed_net_rejected(self, tmp_path, rec):
+    def test_malformed_net_rejected(self, tmp_path, rec, cause):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "nets": {"Gy": rec}}))
-        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        with pytest.raises(CheckpointError) as caught:
             checkpoint_load(path)
+        assert str(caught.value).startswith(f"{path}: net 'Gy': {cause}")
+
+    # a valid one-layer 2 -> 3 record; each case makes its lists disagree or hold no layer
+    ONE_LAYER = {"dims": [2, 3], "activations": ["tanh"],
+                 "weights": [[[1.0, 2.0]] * 3], "biases": [[0.0] * 3]}
+
+    @pytest.mark.parametrize(
+        "extra, counts",
+        [
+            ({"dims": [2, 3, 1]}, "3 dims, 1 activations, 1 weights, 1 biases"),
+            ({"activations": ["tanh", "relu"]}, "2 dims, 2 activations, 1 weights, 1 biases"),
+            ({"weights": [[[1.0, 2.0]] * 3, [[1.0, 1.0, 1.0]]]},
+             "2 dims, 1 activations, 2 weights, 1 biases"),
+            ({"biases": [[0.0] * 3, [0.0]]}, "2 dims, 1 activations, 1 weights, 2 biases"),
+            ({"dims": [2, 3, 1], "weights": [[[1.0, 2.0]] * 3, [[1.0, 1.0, 1.0]]],
+              "biases": [[0.0] * 3, [0.0], [0.0]]},
+             "3 dims, 1 activations, 2 weights, 3 biases"),
+            ({"dims": [], "activations": [], "weights": [], "biases": []},
+             "0 dims, 0 activations, 0 weights, 0 biases"),
+        ],
+        ids=["dims-longer", "activations-longer", "weights-longer", "biases-longer",
+             "dims-weights-biases-longer", "empty"],
+    )
+    def test_records_whose_lists_disagree_rejected_naming_the_net(self, tmp_path, extra, counts):
+        path = tmp_path / "bad.json"
+        ok = {"version": 1, "nets": {"Dp": self.ONE_LAYER}}
+        path.write_text(json.dumps(ok))
+        assert checkpoint_load(path)["Dp"].output_dim == 3
+        bad = {**self.ONE_LAYER, **extra}
+        path.write_text(json.dumps({"version": 1, "nets": {"Dp": self.ONE_LAYER, "Gy": bad}}))
+        with pytest.raises(CheckpointError) as caught:
+            checkpoint_load(path)
+        assert str(caught.value) == f"{path}: net 'Gy': lists disagree or hold no layer: {counts}"
+
+    def test_int_past_the_digit_limit_is_malformed_json(self, tmp_path):
+        # Python refuses to parse an int of more than 4300 digits (a ValueError
+        # that is not a JSONDecodeError)
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 1, "nets": {"Gy": {"dims": [%s]}}}' % ("1" * 5000))
+        with pytest.raises(CheckpointError) as caught:
+            checkpoint_load(path)
+        assert str(caught.value).startswith(f"{path}: malformed checkpoint: Exceeds the limit")
 
     @pytest.mark.parametrize("nets", [[], None, "Gy", 3], ids=["list", "null", "string", "number"])
     def test_nets_not_an_object_rejected(self, tmp_path, nets):
@@ -549,26 +610,17 @@ class TestCheckpoint:
         ],
     )
     def test_writer_bytes_are_json_dumps_of_the_document(self, tmp_path, nets):
-        # the v1 document with every array as its list, as the writer built
-        # it before it streamed the arrays
-        doc = {"version": 1, "nets": {
-            name: {
-                "dims": [net.input_dim] + [l.weight.shape[0] for l in net.layers],
-                "activations": [l.activation for l in net.layers],
-                "weights": [l.weight.tolist() for l in net.layers],
-                "biases": [l.bias.tolist() for l in net.layers],
-            }
-            for name, net in nets.items()
-        }}
         path = tmp_path / "ckpt.json"
         checkpoint_save(nets, path)
-        assert path.read_bytes() == json.dumps(doc).encode()
+        assert path.read_bytes() == json.dumps(v1_document(nets)).encode()
         assert list(checkpoint_load(path)) == list(nets)
 
     # the loader converts each net's lists to arrays while parsing; a list
-    # numpy refuses must still fail where, and as, it did
+    # numpy refuses must still fail where it did. Every failure inside a
+    # net's record names the net, and only the document's own faults read
+    # "malformed checkpoint"
     BIG_INT = "1" + "0" * 400
-    RAGGED = ("malformed checkpoint: setting an array element with a sequence. The "
+    RAGGED = ("net 'Gy': setting an array element with a sequence. The "
               "requested array has an inhomogeneous shape after 1 dimensions. The "
               "detected shape was (2,) + inhomogeneous part.")
 
@@ -578,21 +630,19 @@ class TestCheckpoint:
             pytest.param(1, "[[[1.0, 2.0], [3.0]]]", "[[0.5]]", RAGGED, id="ragged-weights"),
             pytest.param(1, "[[[1.0, 2.0]]]", "[[0.5, [1.0]]]", RAGGED, id="ragged-biases"),
             pytest.param(1, "[[[NaN, 2.0]]]", "[[0.5]]",
-                         "malformed checkpoint: net 'Gy': non-finite parameters", id="nan"),
+                         "net 'Gy': non-finite parameters", id="nan"),
             pytest.param(1, "[[[1.0, 2.0]]]", "[[-Infinity]]",
-                         "malformed checkpoint: net 'Gy': non-finite parameters", id="inf-bias"),
+                         "net 'Gy': non-finite parameters", id="inf-bias"),
             pytest.param(1, "[[[1e400, 2.0]]]", "[[0.5]]",
-                         "malformed checkpoint: net 'Gy': non-finite parameters",
-                         id="float-beyond-range"),
+                         "net 'Gy': non-finite parameters", id="float-beyond-range"),
             pytest.param(1, f"[[[{BIG_INT}, 2.0]]]", "[[0.5]]",
                          "net 'Gy': int too large to convert to float", id="int-beyond-range"),
             pytest.param(1, '[[["x", 2.0]]]', "[[0.5]]",
-                         "malformed checkpoint: could not convert string to float: 'x'",
-                         id="string"),
+                         "net 'Gy': could not convert string to float: 'x'", id="string"),
             pytest.param(1, "[[[1.0, 2.0, 3.0]]]", "[[0.5]]",
-                         "malformed checkpoint: net 'Gy': parameter shape mismatch", id="shape"),
-            pytest.param(1, "[]", "[[0.5]]", "malformed checkpoint: list index out of range",
-                         id="no-weights"),
+                         "net 'Gy': parameter shape mismatch", id="shape"),
+            pytest.param(1, "[]", "[[0.5]]", "net 'Gy': lists disagree or hold no layer: "
+                         "2 dims, 1 activations, 0 weights, 1 biases", id="no-weights"),
             pytest.param(2, "[[[1.0, 2.0], [3.0]]]", "[[0.5]]",
                          "checkpoint version 2 unsupported (expected 1)", id="version-2-ragged"),
             pytest.param(2, f"[[[{BIG_INT}]]]", "[[0.5]]",
@@ -617,6 +667,91 @@ class TestCheckpoint:
         path = tmp_path / "six.json"
         checkpoint_save(nets, path)
         assert set(checkpoint_load(path)) == set(names)
+
+
+@st.composite
+def _random_nets(draw) -> dict:
+    """1-3 nets of 1-4 layers, widths 1-8, any activation and any finite
+    parameters (subnormals and signed zeros too), under any names."""
+    nets = {}
+    for name in draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)):
+        dims = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+        acts = draw(st.lists(st.sampled_from(sorted(ACTIVATIONS)),
+                             min_size=len(dims) - 1, max_size=len(dims) - 1))
+        net = net_init(dims, acts, 0)
+        net.flat[:] = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=net.flat.size, max_size=net.flat.size))
+        nets[name] = net
+    return nets
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_nets())
+def test_random_nets_round_trip_with_equal_bits(tmp_path_factory, nets):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-ckpt.json"
+    checkpoint_save(nets, path)
+    assert path.read_bytes() == json.dumps(v1_document(nets)).encode()
+    loaded = checkpoint_load(path)
+    assert list(loaded) == list(nets)
+    for name, net in nets.items():
+        assert [l.activation for l in loaded[name].layers] == [l.activation for l in net.layers]
+        assert [l.weight.shape for l in loaded[name].layers] == [l.weight.shape for l in net.layers]
+        assert loaded[name].flat.tobytes() == net.flat.tobytes()
+
+
+_NUMBERS = st.integers(-2, 2) | st.floats() | st.integers()
+
+
+@st.composite
+def _records(draw) -> object:
+    """Any JSON value, or a net record of 1-2 layers and widths 1-2 with
+    finite, NaN, infinite or big-int parameters, then perhaps with one key
+    dropped or set to any JSON value, one list a layer longer or shorter, or
+    one parameter list ragged."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(JSON_VALUES)
+    dims = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    rec = {
+        "dims": dims,
+        "activations": [draw(st.sampled_from([*ACTIVATIONS, "swish"])) for _ in dims[1:]],
+        "weights": [[[draw(_NUMBERS) for _ in range(i)] for _ in range(o)]
+                    for i, o in zip(dims, dims[1:])],
+        "biases": [[draw(_NUMBERS) for _ in range(o)] for o in dims[1:]],
+    }
+    key = draw(st.sampled_from(sorted(rec)))
+    change = draw(st.sampled_from(["none", "drop", "json", "longer", "shorter", "ragged"]))
+    if change == "drop":
+        del rec[key]
+    elif change == "json":
+        rec[key] = draw(JSON_VALUES)
+    elif change == "longer":
+        rec[key] = rec[key] + [draw(JSON_VALUES)]
+    elif change == "shorter":
+        rec[key] = rec[key][1:]
+    elif change == "ragged" and key in ("weights", "biases"):
+        rec[key][0][-1] = [rec[key][0][-1]]
+    return rec
+
+
+_CHECKPOINT_DOCS = JSON_VALUES | st.builds(
+    lambda version, nets: {"version": version, "nets": nets},
+    st.just(1) | JSON_VALUES,
+    st.dictionaries(st.text(max_size=3), _records(), max_size=3) | JSON_VALUES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHECKPOINT_DOCS)
+def test_any_json_document_loads_or_raises_checkpoint_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-ckpt.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON writes them
+    try:
+        nets = checkpoint_load(path)
+    except CheckpointError as e:
+        assert str(e).startswith(f"{path}: ")
+        return
+    assert list(nets) == list(doc["nets"])
+    assert all(isinstance(net, NeuralNet) for net in nets.values())
 
 
 def test_numeric_gradients_matches_simple_analytic():
