@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .data import is_distribution
-from .fileio import read_lines
+from .fileio import parse_json, read_lines
 from .trigan import TrainConfig
 from .variants import STEP_FUNCTIONS
 
@@ -211,8 +211,4 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        doc = json.loads("".join(read_lines(path)))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ConfigError(f"{path}: not valid JSON: {e}") from e
-    return parse_config(doc)
+    return parse_config(parse_json("".join(read_lines(path)), path, error=ConfigError))

@@ -9,7 +9,6 @@ evidence sentence.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from array import array
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open, read_lines
+from .fileio import atomic_open, parse_json, read_lines
 
 # how far fractions that must sum to 1 (class priors, split fractions) may miss
 SUM_TOLERANCE = 1e-9
@@ -117,13 +116,11 @@ def load_claims(path) -> CorpusLoadResult:
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-            claim = obj["claim"]
-            evidence = obj["evidence"]
-            label_text = obj["label"]
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}: malformed record on line {lineno}: {e}") from e
+        obj = parse_json(line, path, lineno)
+        if not (isinstance(obj, dict) and "claim" in obj and "evidence" in obj and "label" in obj):
+            raise ValueError(f"{path}: line {lineno}: record must be an object with claim, "
+                             "evidence and label")
+        claim, evidence, label_text = obj["claim"], obj["evidence"], obj["label"]
         if not isinstance(label_text, str):
             raise ValueError(f"{path}: line {lineno}: label must be a string")
         norm = label_text.strip().lower()
@@ -279,7 +276,7 @@ def load_dataset(path) -> LabeledDataset:
             label = int(parts[0])
             row = [float(v) for v in parts[1:]]
         except ValueError as e:
-            raise ValueError(f"{path}: malformed row on line {lineno}") from e
+            raise ValueError(f"{path}: line {lineno}: {e}") from e
         if label not in (0, 1):
             raise ValueError(f"{path}: line {lineno}: labels must be 0 or 1, got {label}")
         if not all(map(math.isfinite, row)):

@@ -1,9 +1,10 @@
-"""Text input that names its file, and crash-safe writes: every output file
-is written beside its target under a temporary name and renamed into place
-only once it is complete."""
+"""Text input whose faults read `<path>[: line N]: <cause>`, and crash-safe
+writes: every output file is written beside its target under a temporary
+name and renamed into place only once it is complete."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager, suppress
 
@@ -46,3 +47,12 @@ def read_lines(path):
             except UnicodeDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: not UTF-8 text ({e.reason})") from e
     raise ValueError(f"{path}: not UTF-8 text")
+
+
+def parse_json(text, path, line=0, error=ValueError, object_hook=None):
+    """`text`, all of `path` or its line `line`, parsed as JSON; a fault raises `error`."""
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except (ValueError, RecursionError) as e:  # also an int past Python's digit limit
+        where = f"{path}: line {line}" if line else path
+        raise error(f"{where}: not valid JSON: {e}") from e

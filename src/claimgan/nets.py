@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import atomic_open, read_lines
+from .fileio import atomic_open, parse_json, read_lines
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
@@ -407,11 +407,8 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
     """The nets checkpoint_save wrote to `path`. An error's message starts
     with the path, as load_config's and load_claims' errors do, and then
     names the net if one net's record is at fault."""
-    text = "".join(read_lines(path))  # bytes that are not UTF-8 raise here, naming the line
-    try:
-        doc = json.loads(text, object_hook=_parameter_arrays)
-    except (ValueError, RecursionError) as e:  # bad JSON, or an int past Python's digit limit
-        raise CheckpointError(f"{path}: malformed checkpoint: {e}") from e
+    doc = parse_json("".join(read_lines(path)), path, error=CheckpointError,
+                     object_hook=_parameter_arrays)
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError(f"{path}: malformed checkpoint: missing version")
     version = doc["version"]  # JSON true and 1.0 compare equal to 1
@@ -424,7 +421,7 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
     for name, rec in doc["nets"].items():
         try:
             nets[name] = _net_from_record(rec)
-        except (LookupError, TypeError, ValueError, OverflowError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(f"{path}: net {name!r}: {e}") from e
     return nets
 
@@ -432,7 +429,11 @@ def checkpoint_load(path) -> dict[str, NeuralNet]:
 def _net_from_record(rec) -> NeuralNet:
     """One net's record: one more dim than activations, weights and biases,
     at least one layer, and finite parameters of the shapes the dims give."""
-    dims, acts, weights, biases = rec["dims"], rec["activations"], rec["weights"], rec["biases"]
+    keys = ("dims", "activations", "weights", "biases")
+    if not (isinstance(rec, dict) and all(isinstance(rec.get(k), list) for k in keys)):
+        raise ValueError("record must be an object with lists dims, activations, weights "
+                         "and biases")
+    dims, acts, weights, biases = map(rec.get, keys)
     if not len(dims) - 1 == len(acts) == len(weights) == len(biases) >= 1:
         raise ValueError(f"lists disagree or hold no layer: {len(dims)} dims, {len(acts)} "
                          f"activations, {len(weights)} weights, {len(biases)} biases")

@@ -562,41 +562,68 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a bad setting reached training")
 
 
-class TestDeeplyNestedJson:
-    """JSON nested past the parser's recursion limit is bad JSON, not a crash."""
+NESTED = "[" * 100_000 + "]" * 100_000  # past the JSON parser's recursion limit
+BIG_INT = "1" * 5000  # past Python's int-digit limit, which raises a plain ValueError
 
-    NESTED = "[" * 100_000 + "]" * 100_000
 
-    def test_eval_checkpoint_exit_2(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(self.NESTED)
+def _with(doc, value: str) -> str:
+    """`doc` as JSON text with the text `value` in place of the string "@"."""
+    return json.dumps(doc).replace('"@"', value)
+
+
+def _bad_config(tmp_path, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(_with({**toy_config(), "seed": "@"}, value))
+    return ["train", "--config", str(cfg)], f"{cfg}: not valid JSON: "
+
+
+def _bad_corpus_line(tmp_path, value):
+    cfg_path = corpus_config(tmp_path, claim_rows(12))
+    corpus = tmp_path / "claims.jsonl"
+    lines = corpus.read_text().splitlines(keepends=True)
+    lines[2] = _with({"claim": "c", "evidence": ["e"], "label": "@"}, value) + "\n"
+    corpus.write_text("".join(lines))
+    return ["gen-data", "--config", cfg_path], f"{corpus}: line 3: not valid JSON: "
+
+
+def _bad_checkpoint(tmp_path, value):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(_with({"version": 1, "nets": {"Gy": {**_gy(), "dims": "@"}}}, value))
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data.csv")]
+    return argv, f"{ckpt}: not valid JSON: "
+
+
+def _bad_csv_cell(tmp_path, value):
+    ckpt, data_path = tmp_path / "ckpt.json", tmp_path / "data.csv"
+    ckpt.write_text(json.dumps({"version": 1, "nets": {"Gy": _gy()}}))
+    data_path.write_text(f"label,f_0,f_1\n1,0.5,0.5\n0,{value},0.5\n")
+    return ["eval", "--checkpoint", str(ckpt), "--data", str(data_path)], f"{data_path}: line 3: "
+
+
+class TestReaderFaults:
+    """A bad input file makes one error line that starts with its path, and
+    with the line of a corpus or dataset file: each JSON reader on nesting
+    past the parser's recursion limit and on an int past Python's digit
+    limit, and the dataset reader on a cell that is not a number."""
+
+    @pytest.mark.parametrize(
+        "bad_input, value, cause",
+        [
+            pytest.param(bad_input, value, cause, id=f"{name}-{kind}")
+            for name, bad_input in [("config", _bad_config), ("corpus", _bad_corpus_line),
+                                    ("checkpoint", _bad_checkpoint)]
+            for kind, value, cause in [("nested", NESTED, "maximum recursion depth exceeded"),
+                                       ("big-int", BIG_INT, "Exceeds the limit (4300 digits)")]
+        ] + [pytest.param(_bad_csv_cell, "abc", "could not convert string to float: 'abc'",
+                          id="csv-cell")],
+    )
+    def test_exit_2_naming_the_file(self, bad_input, value, cause, tmp_path, capsys):
+        argv, where = bad_input(tmp_path, value)
         out = tmp_path / "out"
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data.csv"),
-                "--out", str(out)]
-        assert main(argv) == 2
-        assert_one_error_line(capsys.readouterr().err,
-                              f"error: {ckpt}: malformed checkpoint: maximum recursion")
-        assert not out.exists()
-
-    def test_train_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(self.NESTED)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert_one_error_line(capsys.readouterr().err, f"{cfg}: not valid JSON: maximum recursion")
-        assert not out.exists()
-
-    def test_corpus_evidence_exit_2(self, tmp_path, capsys):
-        cfg_path = corpus_config(tmp_path, claim_rows(12))
-        corpus = tmp_path / "claims.jsonl"
-        lines = corpus.read_text().splitlines(keepends=True)
-        lines[2] = '{"claim": "c", "evidence": %s, "label": "SUPPORTS"}\n' % self.NESTED
-        corpus.write_text("".join(lines))
-        out = tmp_path / "out"
-        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 2
-        assert_one_error_line(
-            capsys.readouterr().err, f"{corpus}: malformed record on line 3: maximum recursion"
-        )
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, cause)
+        assert err.startswith(f"error: {where}{cause}"), err
         assert not out.exists()
 
 

@@ -75,10 +75,14 @@ class TestLoadClaims:
         with pytest.raises(ValueError, match="line 2"):
             load_claims(path)
 
-    def test_missing_field_rejected(self, tmp_path):
-        path = write_corpus(tmp_path, [{"claim": "a", "label": "SUPPORTS"}])
-        with pytest.raises(ValueError, match="line 1"):
+    @pytest.mark.parametrize("record", [{"claim": "a", "label": "SUPPORTS"}, ["a"], "a", None],
+                             ids=["no-evidence", "list", "string", "null"])
+    def test_missing_field_rejected(self, tmp_path, record):
+        path = write_corpus(tmp_path, [record])
+        with pytest.raises(ValueError) as caught:
             load_claims(path)
+        assert str(caught.value) == (f"{path}: line 1: record must be an object with claim, "
+                                     "evidence and label")
 
     def test_nonstring_evidence_rejected(self, tmp_path):
         path = write_corpus(
@@ -313,8 +317,9 @@ class TestSaveLoad:
     def test_malformed_row_reports_lineno(self, tmp_path):
         path = tmp_path / "row.csv"
         path.write_text("label,f_0\n1,0.5\nx,y\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError) as caught:
             load_dataset(path)
+        assert str(caught.value) == f"{path}: line 3: invalid literal for int() with base 10: 'x'"
 
     @pytest.mark.parametrize("row,got", [("1,0.5", 1), ("0,0.5,1.5,2.5", 3)])
     def test_row_width_must_match_header(self, tmp_path, row, got):

@@ -511,6 +511,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"checkpoint version {spelled} unsupported")):
             checkpoint_load(path)
 
+    RECORD = "record must be an object with lists dims, activations, weights and biases"
+
     @pytest.mark.parametrize(
         "rec, cause",
         [
@@ -519,8 +521,12 @@ class TestCheckpoint:
             ({"dims": [2, 2], "activations": ["identity"],
               "weights": [[[1.0, 2.0], [3.0]]], "biases": [[0.0, 0.0]]},
              "setting an array element with a sequence"),
+            ({"activations": [], "weights": [], "biases": []}, RECORD),
+            ([], RECORD),
+            (None, RECORD),
+            ({"dims": 3, "activations": [], "weights": [], "biases": []}, RECORD),
         ],
-        ids=["no-layers", "ragged-weights"],
+        ids=["no-layers", "ragged-weights", "no-dims", "list", "null", "int-dims"],
     )
     def test_malformed_net_rejected(self, tmp_path, rec, cause):
         path = tmp_path / "bad.json"
@@ -568,7 +574,7 @@ class TestCheckpoint:
         path.write_text('{"version": 1, "nets": {"Gy": {"dims": [%s]}}}' % ("1" * 5000))
         with pytest.raises(CheckpointError) as caught:
             checkpoint_load(path)
-        assert str(caught.value).startswith(f"{path}: malformed checkpoint: Exceeds the limit")
+        assert str(caught.value).startswith(f"{path}: not valid JSON: Exceeds the limit")
 
     @pytest.mark.parametrize("nets", [[], None, "Gy", 3], ids=["list", "null", "string", "number"])
     def test_nets_not_an_object_rejected(self, tmp_path, nets):
@@ -618,7 +624,7 @@ class TestCheckpoint:
     # the loader converts each net's lists to arrays while parsing; a list
     # numpy refuses must still fail where it did. Every failure inside a
     # net's record names the net, and only the document's own faults read
-    # "malformed checkpoint"
+    # "not valid JSON" or "malformed checkpoint"
     BIG_INT = "1" + "0" * 400
     RAGGED = ("net 'Gy': setting an array element with a sequence. The "
               "requested array has an inhomogeneous shape after 1 dimensions. The "

@@ -227,3 +227,32 @@ def test_rule_skips_a_module_attribute_through_a_shadowing_parameter():
     package = {"a": "def f(): pass", "b": "from . import a\ndef g(a): return a.f\ng(0)"}
     defined, called = top_level_names(package)
     assert "a.f" in defined and "a.f" not in called
+
+
+def _json_parses(text: str) -> list[int]:
+    """The lines of `text` that name json.load or json.loads, or import
+    either from json."""
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "json" and node.attr in ("load", "loads")
+            or isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(a.name in ("load", "loads") for a in node.names)]
+
+
+def test_only_fileio_parses_json():
+    """Every JSON input goes through fileio.parse_json, so a reader cannot
+    keep its own list of parse errors."""
+    found = {p.name: _json_parses(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "claimgan").glob("*.py"))}
+    assert found.pop("fileio.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [("import json\njson.loads(s)", [2]), ("import json\nf = json.load", [2]),
+     ("from json import dumps, loads", [1]), ("import json\njson.dumps(x)", []),
+     ("from json import dumps", [])],
+)
+def test_json_parse_rule(source, found):
+    assert _json_parses(source) == found

@@ -505,6 +505,22 @@ class TestTrain:
         train(m, toy_data, TrainConfig(iterations=4, seed=1, eval_every=2))
         assert alive_at_report == [[False], [False, False]]
 
+    # toy_data has 200 positives
+    @pytest.mark.parametrize("cap, n_gen", [(50, 50), (1000, 200)], ids=["below", "above"])
+    def test_similarity_sample_is_the_cap_or_every_positive(self, toy_data, cap, n_gen,
+                                                            monkeypatch):
+        generated = []
+
+        def report(real, gen, **kwargs):
+            generated.append(len(gen))
+            return similarity_report(real, gen, **kwargs)
+
+        monkeypatch.setattr(trigan, "similarity_report", report)
+        m = build_model(2, 3, 0.5, 0.5, seed=0, hidden=8)
+        train(m, toy_data, TrainConfig(iterations=4, seed=1, eval_every=2,
+                                       similarity_sample_cap=cap))
+        assert generated == [n_gen, n_gen]
+
     def test_a_row_without_gradient_takes_no_step(self):
         m = build_model(2, 2, 0.5, 0.5, seed=0, hidden=8)
         opts = {name: make_optimizer(net) for name, net in m.nets().items()}
