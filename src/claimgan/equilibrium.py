@@ -90,11 +90,10 @@ def v_star(p, p_gp, p_gn, pi_p: float, pi_n: float) -> float:
 
     E_p[ln(p/(p+q))] + pi_p*E_gp[ln(q/(p+q))] + pi_n*E_gn[ln(q/(p+q))]
     with q = pi_p*p_gp + pi_n*p_gn. The first expectation is taken under p;
-    zero-mass points contribute nothing.
+    zero-mass points contribute nothing. The masses and priors must be checked
+    (as_dist, check_priors); verify_equilibrium checks them once per grid.
     """
-    check_priors(pi_p, pi_n)
-    p, p_gp, p_gn = as_dist(p), as_dist(p_gp), as_dist(p_gn)
-    _same_support(p, p_gp, p_gn)
+    p, p_gp, p_gn = (np.asarray(m, dtype=np.float64) for m in (p, p_gp, p_gn))
     q = pi_p * p_gp + pi_n * p_gn
     denom = p + q
     safe = np.where(denom > 0, denom, 1.0)

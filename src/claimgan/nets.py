@@ -183,9 +183,10 @@ def keep_heap_for_steps():
     the next step page-faults it in again: about 360 minor faults per toy
     step (2-D, hidden 64, batch 64) at glibc's default 128 KiB and still
     at 512 KiB. At 1 MiB the toy steps run without faults, but the first
-    64-D eq4 step after each eval took about 40. At 2 MiB the first step
-    after every second eval still takes 130-146 on the seed-0 benchmark
-    corpus (eq4, eval every 50), and the other steps none.
+    64-D eq4 step after each eval took about 40. At 2 MiB, on the seed-0
+    benchmark corpus (eq4, eval every 50), only the first step after an eval
+    faults (110-150): the eval frees over 2 MiB at the heap top, glibc trims
+    it to the top pad, and the step's temporaries fault in again.
 
     Setting the trim threshold also freezes glibc's dynamic mmap threshold
     where it stands: at least 128 KiB, raised by each larger freed mapping to

@@ -32,7 +32,7 @@ import pytest
 import claimgan.cli  # noqa: F401 - loads every module the tracer patches
 from claimgan import metrics, trigan
 from claimgan.data import gaussian_mixture
-from claimgan.equilibrium import verify_equilibrium
+from claimgan.equilibrium import simplex_grid, verify_equilibrium
 from claimgan.nets import forward, make_optimizer, net_init
 from claimgan.variants import STEP_FUNCTIONS, STEP_TABLES
 
@@ -167,6 +167,24 @@ def _count_calls(monkeypatch, targets, results=None) -> dict:
             if getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+@pytest.mark.parametrize("k, step, pairs", [(2, 0.05, 441), (3, 0.125, 2_025)])
+def test_verify_equilibrium_calls_v_star_once_per_grid_pair(monkeypatch, k, step, pairs):
+    """run.py's traced corpus check counts equilibrium.v_star calls, so
+    verify_equilibrium must reach v_star by that name once per grid pair.
+    A loop moved off the name changes the count here first."""
+    counts = _count_calls(monkeypatch, [("equilibrium", "v_star")])
+    one_hot = np.eye(k)
+    verify_equilibrium(one_hot[0], one_hot[1], 0.5, step)
+    assert counts["v_star"] == len(simplex_grid(k, step)) ** 2 == pairs
+
+
+def test_the_benchmarks_grid_pairs_are_its_grids_squared():
+    """The count that check expects: 441 at k=2 plus 53,361 at k=3."""
+    oracle = _perfbench("inputs").oracle_inputs(0)
+    grids = [simplex_grid(v["k"], oracle["grid_step"]) for v in oracle["verify"]]
+    assert oracle["grid_pairs"] == sum(len(g) ** 2 for g in grids) == 53_802
 
 
 def test_an_evaluating_iteration_adds_the_benchmarks_forwards_per_eval(monkeypatch):

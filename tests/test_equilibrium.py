@@ -142,6 +142,18 @@ class TestVStar:
             lhs = v_star(p, gp, gn, pi_p, 1 - pi_p)
             assert lhs == pytest.approx(2 * jsd(p, q) - 2 * math.log(2), abs=1e-9)
 
+    def test_takes_lists_without_checking_them_again(self, monkeypatch):
+        def recheck(*args):
+            raise AssertionError("v_star re-checked its inputs")
+
+        for name in ("as_dist", "check_priors", "_same_support"):
+            monkeypatch.setattr(equilibrium, name, recheck)
+        # 0.6*[0.7, 0.3] + 0.4*[0.2, 0.8] = [0.5, 0.5]: the data mixture
+        masses = [0.5, 0.5], [0.7, 0.3], [0.2, 0.8]
+        got = v_star(*masses, 0.6, 0.4)
+        assert got == v_star(*map(np.array, masses), 0.6, 0.4)
+        assert got == pytest.approx(EQUILIBRIUM_VALUE, abs=1e-12)
+
     def test_lower_bounded_by_equilibrium(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -232,6 +244,27 @@ class TestVerifyEquilibrium:
     def test_large_support_rejected(self):
         with pytest.raises(ValueError):
             verify_equilibrium([0.2] * 5, [0.2] * 5, pi_p=0.5)
+
+    @pytest.mark.parametrize(
+        "p_p, p_n, pi_p, match",
+        [
+            pytest.param([1.25, -0.25], [0.0, 1.0], 0.5, "must lie in", id="negative-p_p"),
+            pytest.param([0.5, 0.75], [0.0, 1.0], 0.5, "must lie in", id="unnormalised-p_p"),
+            pytest.param([1.0, 0.0], [0.0, 0.5, 0.5], 0.5, "support sizes differ",
+                         id="p_n-on-another-support"),
+            pytest.param([1.0, 0.0], [0.0, 1.0], 1.5, "priors", id="pi_p-1.5"),
+            pytest.param([1.0, 0.0], [0.0, 1.0], math.nan, "priors", id="pi_p-nan"),
+        ],
+    )
+    def test_bad_input_raises_before_the_first_v_star_call(self, monkeypatch, p_p, p_n, pi_p,
+                                                            match):
+        """v_star takes checked masses; verify_equilibrium checks them once,
+        before its grid."""
+        calls = []
+        monkeypatch.setattr(equilibrium, "v_star", lambda *args: calls.append(args) or 0.0)
+        with pytest.raises(ValueError, match=match):
+            verify_equilibrium(p_p, p_n, pi_p=pi_p, grid_step=0.5)
+        assert calls == []
 
 
 class TestGridTies:
